@@ -11,6 +11,10 @@
  * engine requires the build-time codecs (pa_gen_codecs) to cover the
  * benchmark pools; benchmarks whose pool has no linked codec skip with
  * an error rather than silently measuring another engine.
+ *
+ * BM_SimPort measures the accelerator simulator instead: the host cost
+ * of one priced access through sim::Port (TLB, L2 and LLC tags), the
+ * innermost operation of every modeled accelerator run.
  */
 #include <benchmark/benchmark.h>
 
@@ -19,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "harness/microbench.h"
 #include "hpb/generator.h"
 #include "profile/fleet_model.h"
@@ -27,6 +32,7 @@
 #include "proto/parser.h"
 #include "proto/schema_random.h"
 #include "proto/serializer.h"
+#include "sim/port.h"
 
 using namespace protoacc;
 using namespace protoacc::proto;
@@ -380,6 +386,60 @@ BM_HpbSerialize(benchmark::State &state)
                             static_cast<int64_t>(w.total_wire_bytes));
 }
 BENCHMARK(BM_HpbSerialize)->DenseRange(0, 5);
+
+// ---------------------------------------------------------------------
+// Accelerator memory model (engine-independent): one 8 B access per
+// iteration, so the reported time is host ns per access. Every fourth
+// access is a write.
+// ---------------------------------------------------------------------
+
+enum SimPortPattern : int64_t
+{
+    kSimSequential,  ///< consecutive 8 B accesses over 8 MiB
+    kSimScattered,   ///< uniform over 8 MiB
+    kSimBursts,      ///< runs of 8 accesses to one random 64 B line
+};
+
+void
+BM_SimPort(benchmark::State &state)
+{
+    constexpr size_t kFootprint = 8 << 20;
+    constexpr size_t kTrace = kFootprint / 8;
+    const int64_t pattern = state.range(0);
+    Rng rng(static_cast<uint64_t>(pattern) + 1);
+    std::vector<uint32_t> offsets(kTrace);
+    uint64_t line = 0;
+    for (size_t i = 0; i < kTrace; ++i) {
+        switch (pattern) {
+        case kSimSequential:
+            offsets[i] = static_cast<uint32_t>(i * 8);
+            break;
+        case kSimScattered:
+            offsets[i] = static_cast<uint32_t>(rng.NextBounded(kFootprint - 8));
+            break;
+        default:
+            if (i % 8 == 0)
+                line = rng.NextBounded(kFootprint / 64) * 64;
+            offsets[i] = static_cast<uint32_t>(line + rng.NextBounded(57));
+            break;
+        }
+    }
+    const std::vector<uint8_t> buffer(kFootprint);
+    sim::MemorySystem memory{sim::MemorySystemConfig{}};
+    sim::Port port("bench", &memory, sim::TlbConfig{});
+    size_t i = 0;
+    for (auto _ : state) {
+        const uint8_t *p = buffer.data() + offsets[i % kTrace];
+        benchmark::DoNotOptimize(i % 4 == 3 ? port.Write(p, 8)
+                                            : port.Read(p, 8));
+        ++i;
+    }
+    static const char *const kNames[] = {"sequential", "scattered-8MiB",
+                                         "same-line-bursts"};
+    state.SetLabel(kNames[pattern]);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimPort)->DenseRange(kSimSequential, kSimBursts);
 
 }  // namespace
 

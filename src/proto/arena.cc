@@ -44,9 +44,11 @@ Arena::AddBlock(size_t min_size)
     // value-initializing the whole block here would memset block_size_
     // bytes up front -- dominant in parse benches that use a fresh arena
     // per message batch.
-    block.data = std::make_unique_for_overwrite<char[]>(size);
+    block.data = std::make_unique_for_overwrite<char[]>(size + kBlockAlign - 1);
+    block.base = reinterpret_cast<char *>(AlignUp(
+        reinterpret_cast<uintptr_t>(block.data.get()), kBlockAlign));
     block.size = size;
-    head_ = block.data.get();
+    head_ = block.base;
     limit_ = head_ + size;
     bytes_reserved_ += size;
     blocks_.push_back(std::move(block));
@@ -58,7 +60,7 @@ Arena::Reset()
     if (blocks_.size() > 1)
         blocks_.resize(1);
     if (!blocks_.empty()) {
-        head_ = blocks_[0].data.get();
+        head_ = blocks_[0].base;
         limit_ = head_ + blocks_[0].size;
         bytes_reserved_ = blocks_[0].size;
     } else {

@@ -65,11 +65,18 @@ class Arena
     static constexpr size_t kDefaultBlockSize = 256 * 1024;
 
   private:
+    /// Blocks start on a page boundary: the accelerator model prices
+    /// arena memory by host address, so an object's cache-line and page
+    /// offsets must follow from the allocation sequence alone, not from
+    /// where malloc placed the block.
+    static constexpr size_t kBlockAlign = 4096;
+
     void AddBlock(size_t min_size);
 
     struct Block
     {
         std::unique_ptr<char[]> data;
+        char *base = nullptr;  ///< first kBlockAlign boundary in data
         size_t size = 0;
     };
 

@@ -12,6 +12,7 @@
 #ifndef PROTOACC_SIM_CACHE_H
 #define PROTOACC_SIM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,6 +49,12 @@ struct CacheStats
 
 /**
  * Tag-array model of one set-associative, write-back, LRU cache level.
+ *
+ * Each way is one word, (tag << 2) | dirty << 1 | valid, and each set
+ * keeps its ways in recency order, most recent first: a hit moves the
+ * way to the front, a fill shifts the set back by one and evicts the
+ * last way. Invalid ways therefore only ever form the tail of a set,
+ * so this is exact LRU.
  */
 class Cache
 {
@@ -73,23 +80,26 @@ class Cache
     void ResetStats() { stats_ = CacheStats{}; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lru = 0;  ///< last-use timestamp
-    };
+    static constexpr uint64_t kValid = 1;
+    static constexpr uint64_t kDirty = 2;
 
-    uint64_t line_addr(uint64_t addr) const
+    /// Index in ways_ of the first way of the set holding @p line.
+    size_t set_index(uint64_t line) const
     {
-        return addr / config_.line_bytes;
+        return (line & set_mask_) * config_.ways;
+    }
+
+    /// Valid, clean way word for line address @p line.
+    uint64_t key_of(uint64_t line) const
+    {
+        return (line >> set_shift_) << 2 | kValid;
     }
 
     CacheConfig config_;
-    uint32_t num_sets_;
-    std::vector<Line> lines_;  ///< num_sets_ * ways, set-major
-    uint64_t tick_ = 0;
+    uint32_t line_shift_ = 0;
+    uint32_t set_shift_ = 0;
+    uint64_t set_mask_ = 0;
+    std::vector<uint64_t> ways_;  ///< num_sets * ways, set-major, MRU first
     CacheStats stats_;
 };
 

@@ -1,12 +1,19 @@
 #include "sim/memory_system.h"
 
 #include "common/bits.h"
+#include "common/check.h"
 
 namespace protoacc::sim {
 
 MemorySystem::MemorySystem(const MemorySystemConfig &config)
     : config_(config), l2_(config.l2), llc_(config.llc)
-{}
+{
+    // Both levels are walked and priced in L2 lines.
+    PA_CHECK_EQ(config.llc.line_bytes, config.l2.line_bytes);
+    PA_CHECK(IsPow2(config.bus_bytes_per_cycle));
+    line_shift_ = static_cast<uint32_t>(Log2Floor(config.l2.line_bytes));
+    bus_shift_ = static_cast<uint32_t>(Log2Floor(config.bus_bytes_per_cycle));
+}
 
 uint64_t
 MemorySystem::LineLatency(uint64_t addr, bool is_write)
@@ -26,18 +33,17 @@ MemorySystem::ReadLatency(uint64_t addr, uint64_t size)
     ++stats_.reads;
     stats_.read_bytes += size;
 
-    const uint32_t line = config_.l2.line_bytes;
-    const uint64_t first_line = addr / line;
-    const uint64_t last_line = (addr + size - 1) / line;
+    const uint64_t first_line = addr >> line_shift_;
+    const uint64_t last_line = (addr + size - 1) >> line_shift_;
 
     uint64_t latency = LineLatency(addr, false);
     // Further lines stream behind the first: the wrappers keep multiple
     // requests outstanding, so each extra line costs one bus beat per
     // bus-width chunk (bandwidth bound), not full latency.
     for (uint64_t l = first_line + 1; l <= last_line; ++l)
-        LineLatency(l * line, false);  // keep tags warm/accurate
-    const uint64_t beats = CeilDiv(size, config_.bus_bytes_per_cycle);
-    return latency + (beats > 0 ? beats - 1 : 0);
+        LineLatency(l << line_shift_, false);  // keep tags warm/accurate
+    // size >= 1, so the ceil(size / bus) beats are this plus one.
+    return latency + ((size - 1) >> bus_shift_);
 }
 
 uint64_t
@@ -48,13 +54,12 @@ MemorySystem::WriteLatency(uint64_t addr, uint64_t size)
     ++stats_.writes;
     stats_.write_bytes += size;
 
-    const uint32_t line = config_.l2.line_bytes;
-    const uint64_t first_line = addr / line;
-    const uint64_t last_line = (addr + size - 1) / line;
+    const uint64_t first_line = addr >> line_shift_;
+    const uint64_t last_line = (addr + size - 1) >> line_shift_;
     for (uint64_t l = first_line; l <= last_line; ++l)
-        LineLatency(l * line, true);
+        LineLatency(l << line_shift_, true);
     // Posted write: occupancy is one bus beat per bus-width chunk.
-    return CeilDiv(size, config_.bus_bytes_per_cycle);
+    return ((size - 1) >> bus_shift_) + 1;
 }
 
 void

@@ -35,7 +35,7 @@ struct MemorySystemConfig
                        .hit_latency = 38};
     /// DRAM access latency (cycles at the modeled 2 GHz clock).
     uint32_t dram_latency = 140;
-    /// System-bus width: 128-bit TileLink (§4.1).
+    /// System-bus width: 128-bit TileLink (§4.1). A power of two.
     uint32_t bus_bytes_per_cycle = 16;
     TlbConfig tlb;
 };
@@ -79,6 +79,8 @@ class MemorySystem
     uint64_t LineLatency(uint64_t addr, bool is_write);
 
     MemorySystemConfig config_;
+    uint32_t line_shift_ = 0;
+    uint32_t bus_shift_ = 0;
     Cache l2_;
     Cache llc_;
     MemorySystemStats stats_;

@@ -1,5 +1,8 @@
 #include "sim/tlb.h"
 
+#include <algorithm>
+
+#include "common/bits.h"
 #include "common/check.h"
 
 namespace protoacc::sim {
@@ -7,39 +10,36 @@ namespace protoacc::sim {
 Tlb::Tlb(const TlbConfig &config) : config_(config)
 {
     PA_CHECK_GE(config.entries, 1u);
+    // The vpn is a shift of the address, with one bit for the flag.
+    PA_CHECK(IsPow2(config.page_bytes));
+    PA_CHECK_GE(config.page_bytes, 2u);
+    page_shift_ = static_cast<uint32_t>(Log2Floor(config.page_bytes));
     entries_.resize(config.entries);
 }
 
 uint32_t
 Tlb::Access(uint64_t addr)
 {
-    ++tick_;
-    const uint64_t vpn = addr / config_.page_bytes;
-    Entry *victim = &entries_[0];
-    for (auto &entry : entries_) {
-        if (entry.valid && entry.vpn == vpn) {
-            entry.lru = tick_;
-            ++stats_.hits;
-            return 0;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid && entry.lru < victim->lru) {
-            victim = &entry;
-        }
+    const uint64_t key = (addr >> page_shift_) << 1 | kValid;
+    uint64_t *begin = entries_.data();
+    uint64_t *end = begin + entries_.size();
+    uint64_t *hit = std::find(begin, end, key);
+    if (hit != end) {
+        std::copy_backward(begin, hit, hit + 1);
+        *begin = key;
+        ++stats_.hits;
+        return 0;
     }
     ++stats_.misses;
-    victim->valid = true;
-    victim->vpn = vpn;
-    victim->lru = tick_;
+    std::copy_backward(begin, end - 1, end);
+    *begin = key;
     return config_.walk_latency;
 }
 
 void
 Tlb::Flush()
 {
-    for (auto &entry : entries_)
-        entry = Entry{};
+    std::fill(entries_.begin(), entries_.end(), 0);
 }
 
 }  // namespace protoacc::sim

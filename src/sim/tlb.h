@@ -34,6 +34,9 @@ struct TlbStats
 /**
  * Fully-associative LRU TLB. Access() returns the translation latency
  * contribution (0 on hit, walk_latency on miss).
+ *
+ * Entries are words (vpn << 1) | valid kept in recency order, most
+ * recent first, with the same exact-LRU layout as Cache.
  */
 class Tlb
 {
@@ -50,16 +53,11 @@ class Tlb
     void ResetStats() { stats_ = TlbStats{}; }
 
   private:
-    struct Entry
-    {
-        uint64_t vpn = 0;
-        bool valid = false;
-        uint64_t lru = 0;
-    };
+    static constexpr uint64_t kValid = 1;
 
     TlbConfig config_;
-    std::vector<Entry> entries_;
-    uint64_t tick_ = 0;
+    uint32_t page_shift_ = 0;
+    std::vector<uint64_t> entries_;  ///< MRU first
     TlbStats stats_;
 };
 
