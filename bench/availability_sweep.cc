@@ -14,9 +14,10 @@
  *   - MTTR: mean modeled repair time per completed quarantine episode
  *     (scrub + self-test cycles per reintegration, at the 2 GHz clock);
  *   - wasted cycles: total scrub + self-test cycles spent;
- *   - wrong answers: responses whose payload does not echo the request
- *     (MUST be zero in every cell — health management may cost time,
- *     never correctness).
+ *   - the exactly-once verdict: wrong responses (payload does not echo
+ *     the request), lost calls and duplicated executions MUST be zero
+ *     in every cell — health management may cost time, never
+ *     correctness.
  *
  * A software-only baseline row anchors the comparison: the sweep's
  * serving availability must never fall below it.
@@ -25,14 +26,13 @@
  *        --seed=S    base seed (default 0xAVA11 ~ 0xA0A11)
  *        --json=PATH write the sweep as JSON
  */
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "proto/schema_parser.h"
+#include "harness/soak.h"
 #include "rpc/server_runtime.h"
 #include "sim/fault.h"
 
@@ -42,38 +42,12 @@ using proto::Message;
 
 namespace {
 
-struct Options
-{
-    uint64_t calls = 600;
-    uint64_t seed = 0xA0A11;
-    std::string json_path;
-};
-
-Options
-ParseOptions(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--calls=", 0) == 0)
-            opt.calls = std::strtoull(arg.c_str() + 8, nullptr, 10);
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg.rfind("--json=", 0) == 0)
-            opt.json_path = arg.substr(7);
-        else {
-            std::fprintf(stderr,
-                         "usage: availability_sweep [--calls=N] "
-                         "[--seed=S] [--json=PATH]\n");
-            std::exit(1);
-        }
-    }
-    return opt;
-}
-
 constexpr uint32_t kWorkers = 2;
 constexpr uint16_t kMethod = 1;
 constexpr double kFreqGhz = 2.0;  // the modeled accelerator clock
+/// Call i travels with idempotency key kFirstKey + i. No dedup cache is
+/// configured, so the key only identifies the call to the exec ledger.
+constexpr uint64_t kFirstKey = 1;
 
 struct CellResult
 {
@@ -81,24 +55,50 @@ struct CellResult
     double quarantine_threshold = 0;
     bool software_only = false;
     uint64_t calls = 0;
-    uint64_t answered = 0;
-    uint64_t wrong_answers = 0;
-    uint64_t lost_calls = 0;
-    uint64_t quarantines = 0;
-    uint64_t reintegrations = 0;
-    uint64_t fenced_now = 0;
-    uint64_t watchdog_resets = 0;
-    uint64_t fallback_forced = 0;
-    uint64_t wasted_cycles = 0;  ///< scrub + self-test
-    double serving_availability = 0;
-    double accel_availability = 0;
-    double mttr_ns = 0;
-    double modeled_span_ns = 0;
+    harness::Verdict verdict;
+    rpc::RuntimeSnapshot snap;
+
+    /// Quarantine maintenance: scrub + self-test cycles.
+    uint64_t
+    wasted_cycles() const
+    {
+        return snap.health_scrub_cycles + snap.health_self_test_cycles;
+    }
+    double maintenance_ns() const { return wasted_cycles() / kFreqGhz; }
+
+    /// Answered correctly / submitted.
+    double
+    serving_availability() const
+    {
+        return calls > 0 ? static_cast<double>(verdict.answered -
+                                               verdict.wrong_responses) /
+                               static_cast<double>(calls)
+                         : 0;
+    }
+
+    /// Share of the pool's modeled time not spent in maintenance.
+    double
+    accel_availability() const
+    {
+        const double pool_time_ns = snap.modeled_span_ns * kWorkers;
+        return pool_time_ns > 0
+                   ? 1.0 - std::min(1.0, maintenance_ns() / pool_time_ns)
+                   : 1.0;
+    }
+
+    /// Mean repair time per completed quarantine episode.
+    double
+    mttr_ns() const
+    {
+        return snap.health_reintegrations > 0
+                   ? maintenance_ns() / snap.health_reintegrations
+                   : 0;
+    }
 };
 
 CellResult
-RunCell(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
-        uint64_t calls, double wedge_rate, double quarantine_threshold,
+RunCell(const harness::EchoSchema &echo, uint64_t seed, uint64_t calls,
+        double wedge_rate, double quarantine_threshold,
         bool software_only)
 {
     CellResult cell;
@@ -106,11 +106,7 @@ RunCell(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
     cell.quarantine_threshold = quarantine_threshold;
     cell.software_only = software_only;
     cell.calls = calls;
-
-    const auto &rd = pool.message(req);
-    const auto &sd = pool.message(rsp);
-    const auto *req_text = rd.FindFieldByName("text");
-    const auto *rsp_text = sd.FindFieldByName("text");
+    const DescriptorPool &pool = echo.pool;
 
     sim::FaultConfig fault_config;
     fault_config.unit_wedge_rate = wedge_rate;
@@ -146,12 +142,10 @@ RunCell(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
         },
         config);
 
-    runtime.RegisterMethod(
-        kMethod, req, rsp,
-        [&](const Message &request, Message response) {
-            response.SetString(*rsp_text,
-                               request.GetString(*req_text));
-        });
+    runtime.RegisterMethod(kMethod, echo.request, echo.response,
+                           echo.Handler());
+    harness::ExecLedger ledger(calls);
+    ledger.Observe(&runtime, kFirstKey);
     runtime.Start();
 
     rpc::SoftwareBackend client(cpu::BoomParams(), pool);
@@ -162,8 +156,10 @@ RunCell(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
         for (uint64_t i = 0; i < n; ++i) {
             const uint64_t idx = submitted + i;
             client_arena.Reset();
-            Message request = Message::Create(&client_arena, pool, req);
-            request.SetString(*req_text, "call-" + std::to_string(idx));
+            Message request =
+                Message::Create(&client_arena, pool, echo.request);
+            request.SetString(*echo.request_text,
+                              "call-" + std::to_string(idx));
             const std::vector<uint8_t> payload =
                 client.Serialize(request);
             rpc::FrameHeader header;
@@ -171,6 +167,7 @@ RunCell(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
             header.call_id = static_cast<uint32_t>(idx + 1);
             header.method_id = kMethod;
             header.kind = rpc::FrameKind::kRequest;
+            header.idempotency_key = kFirstKey + idx;
             PA_CHECK(StatusOk(runtime.Submit(header, payload.data())));
         }
         submitted += n;
@@ -178,112 +175,50 @@ RunCell(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
     }
 
     // Verify every reply against its request (wrong answers must be 0).
-    std::vector<bool> answered(calls, false);
-    for (uint32_t w = 0; w < runtime.num_workers(); ++w) {
-        size_t off = 0;
-        while (const auto f = runtime.replies(w).Next(&off)) {
-            if (f->header.kind != rpc::FrameKind::kResponse)
-                continue;
-            const uint64_t idx = f->header.call_id - 1;
-            if (idx >= calls)
-                continue;
-            client_arena.Reset();
-            Message response =
-                Message::Create(&client_arena, pool, rsp);
-            const StatusCode parse = client.Deserialize(
-                f->payload, f->header.payload_bytes, &response);
-            const std::string expect = "call-" + std::to_string(idx);
-            if (!StatusOk(parse) ||
-                std::string(response.GetString(*rsp_text)) != expect) {
-                ++cell.wrong_answers;
-                continue;
-            }
-            if (!answered[idx]) {
-                answered[idx] = true;
-                ++cell.answered;
-            }
-        }
-    }
-    for (uint64_t i = 0; i < calls; ++i)
-        if (!answered[i])
-            ++cell.lost_calls;
+    harness::AnswerBook book(calls);
+    harness::ReplyHarvester().Harvest(runtime, [&](const rpc::Frame &f) {
+        if (f.header.kind == rpc::FrameKind::kError)
+            return;
+        const int64_t idx = book.Claim(f);
+        if (idx < 0)
+            return;
+        client_arena.Reset();
+        Message response =
+            Message::Create(&client_arena, pool, echo.response);
+        const StatusCode parse = client.Deserialize(
+            f.payload, f.header.payload_bytes, &response);
+        book.Answer(idx, StatusOk(parse) &&
+                             response.GetString(*echo.response_text) ==
+                                 "call-" + std::to_string(idx));
+    });
+    cell.verdict = book.verdict(ledger);
 
-    const rpc::RuntimeSnapshot snap = runtime.Snapshot();
+    cell.snap = runtime.Snapshot();
     runtime.Shutdown();
-
-    cell.quarantines = snap.health_quarantines;
-    cell.reintegrations = snap.health_reintegrations;
-    cell.fenced_now = snap.health_fenced_domains;
-    cell.watchdog_resets = snap.watchdog_resets;
-    cell.fallback_forced = snap.fallback_forced;
-    cell.wasted_cycles =
-        snap.health_scrub_cycles + snap.health_self_test_cycles;
-    cell.modeled_span_ns = snap.modeled_span_ns;
-    cell.serving_availability =
-        calls > 0 ? static_cast<double>(cell.answered) /
-                        static_cast<double>(calls)
-                  : 0;
-    const double maintenance_ns =
-        static_cast<double>(cell.wasted_cycles) / kFreqGhz;
-    const double pool_time_ns =
-        snap.modeled_span_ns * static_cast<double>(kWorkers);
-    cell.accel_availability =
-        pool_time_ns > 0
-            ? 1.0 - std::min(1.0, maintenance_ns / pool_time_ns)
-            : 1.0;
-    const uint64_t repaired =
-        snap.health_reintegrations > 0 ? snap.health_reintegrations : 0;
-    cell.mttr_ns = repaired > 0 ? maintenance_ns /
-                                      static_cast<double>(repaired)
-                                : 0;
     return cell;
 }
 
 void
-PrintCell(const CellResult &c)
+WriteCellJson(harness::JsonWriter *json, const char *key,
+              const CellResult &c)
 {
-    std::printf(
-        "  wedge %.3f  thresh %.2f%s | serve-avail %.4f  "
-        "accel-avail %.4f  mttr %.0f ns  wasted %llu cyc | "
-        "quar %llu  reint %llu  wd-resets %llu | wrong %llu  lost %llu\n",
-        c.wedge_rate, c.quarantine_threshold,
-        c.software_only ? " (sw baseline)" : "               ",
-        c.serving_availability, c.accel_availability, c.mttr_ns,
-        static_cast<unsigned long long>(c.wasted_cycles),
-        static_cast<unsigned long long>(c.quarantines),
-        static_cast<unsigned long long>(c.reintegrations),
-        static_cast<unsigned long long>(c.watchdog_resets),
-        static_cast<unsigned long long>(c.wrong_answers),
-        static_cast<unsigned long long>(c.lost_calls));
-}
-
-void
-WriteCellJson(std::FILE *f, const CellResult &c, bool last)
-{
-    std::fprintf(
-        f,
-        "    {\"wedge_rate\": %.4f, \"quarantine_threshold\": %.2f, "
-        "\"software_only\": %s, \"calls\": %llu, \"answered\": %llu, "
-        "\"wrong_answers\": %llu, \"lost_calls\": %llu, "
-        "\"serving_availability\": %.6f, \"accel_availability\": %.6f, "
-        "\"mttr_ns\": %.1f, \"wasted_cycles\": %llu, "
-        "\"quarantines\": %llu, \"reintegrations\": %llu, "
-        "\"fenced_now\": %llu, \"watchdog_resets\": %llu, "
-        "\"fallback_forced\": %llu, \"modeled_span_ns\": %.1f}%s\n",
-        c.wedge_rate, c.quarantine_threshold,
-        c.software_only ? "true" : "false",
-        static_cast<unsigned long long>(c.calls),
-        static_cast<unsigned long long>(c.answered),
-        static_cast<unsigned long long>(c.wrong_answers),
-        static_cast<unsigned long long>(c.lost_calls),
-        c.serving_availability, c.accel_availability, c.mttr_ns,
-        static_cast<unsigned long long>(c.wasted_cycles),
-        static_cast<unsigned long long>(c.quarantines),
-        static_cast<unsigned long long>(c.reintegrations),
-        static_cast<unsigned long long>(c.fenced_now),
-        static_cast<unsigned long long>(c.watchdog_resets),
-        static_cast<unsigned long long>(c.fallback_forced),
-        c.modeled_span_ns, last ? "" : ",");
+    json->BeginObject(key)
+        .Num("wedge_rate", c.wedge_rate, "%.4f")
+        .Num("quarantine_threshold", c.quarantine_threshold, "%.2f")
+        .Bool("software_only", c.software_only)
+        .Uint("calls", c.calls);
+    c.verdict.Write(json);
+    json->Num("serving_availability", c.serving_availability(), "%.6f")
+        .Num("accel_availability", c.accel_availability(), "%.6f")
+        .Num("mttr_ns", c.mttr_ns(), "%.1f")
+        .Uint("wasted_cycles", c.wasted_cycles())
+        .Uint("quarantines", c.snap.health_quarantines)
+        .Uint("reintegrations", c.snap.health_reintegrations)
+        .Uint("fenced_now", c.snap.health_fenced_domains)
+        .Uint("watchdog_resets", c.snap.watchdog_resets)
+        .Uint("fallback_forced", c.snap.fallback_forced)
+        .Num("modeled_span_ns", c.snap.modeled_span_ns, "%.1f")
+        .EndObject();
 }
 
 }  // namespace
@@ -291,89 +226,66 @@ WriteCellJson(std::FILE *f, const CellResult &c, bool last)
 int
 main(int argc, char **argv)
 {
-    const Options opt = ParseOptions(argc, argv);
+    uint64_t calls = 600;
+    uint64_t seed = 0xA0A11;
+    std::string json_path;
+    harness::FlagParser flags("availability_sweep");
+    flags.Add("calls", "N", &calls);
+    flags.Add("seed", "S", &seed);
+    flags.Add("json", "PATH", &json_path);
+    flags.Parse(argc, argv);
 
-    DescriptorPool pool;
-    const auto parsed = proto::ParseSchema(R"(
-        message AvailRequest { optional string text = 1; }
-        message AvailResponse { optional string text = 1; }
-    )",
-                                           &pool);
-    PA_CHECK(parsed.ok);
-    pool.Compile(proto::HasbitsMode::kSparse);
-    const int req = pool.FindMessage("AvailRequest");
-    const int rsp = pool.FindMessage("AvailResponse");
-
+    const harness::EchoSchema echo;
     const std::vector<double> wedge_rates = {0.0, 0.01, 0.03, 0.10};
     const std::vector<double> thresholds = {0.20, 0.45, 0.70};
 
     std::printf(
         "Availability sweep — %llu calls/cell, seed 0x%llx, %u workers\n"
         "============================================================\n",
-        static_cast<unsigned long long>(opt.calls),
-        static_cast<unsigned long long>(opt.seed), kWorkers);
+        static_cast<unsigned long long>(calls),
+        static_cast<unsigned long long>(seed), kWorkers);
 
-    const CellResult baseline = RunCell(pool, req, rsp, opt.seed,
-                                        opt.calls, 0.0, 0.0, true);
-    PrintCell(baseline);
+    const CellResult baseline =
+        RunCell(echo, seed, calls, 0.0, 0.0, true);
 
     std::vector<CellResult> cells;
     for (const double rate : wedge_rates)
-        for (const double thresh : thresholds) {
-            cells.push_back(RunCell(pool, req, rsp, opt.seed, opt.calls,
-                                    rate, thresh, false));
-            PrintCell(cells.back());
-        }
+        for (const double thresh : thresholds)
+            cells.push_back(
+                RunCell(echo, seed, calls, rate, thresh, false));
 
-    if (!opt.json_path.empty()) {
-        std::FILE *f = std::fopen(opt.json_path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n  \"baseline\": \n");
-        WriteCellJson(f, baseline, true);
-        std::fprintf(f, "  ,\"cells\": [\n");
-        for (size_t i = 0; i < cells.size(); ++i)
-            WriteCellJson(f, cells[i], i + 1 == cells.size());
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.json_path.c_str());
-    }
+    harness::JsonWriter json;
+    json.BeginObject();
+    WriteCellJson(&json, "baseline", baseline);
+    json.BeginArray("cells");
+    for (const CellResult &c : cells)
+        WriteCellJson(&json, nullptr, c);
+    json.EndArray().EndObject();
+    std::printf("%s\n", json.str().c_str());
+    if (!json_path.empty() && !json.WriteFile(json_path))
+        return 1;
 
-    bool ok = true;
-    auto require = [&ok](bool cond, const char *what) {
-        if (!cond) {
-            std::fprintf(stderr, "FAIL: %s\n", what);
-            ok = false;
-        }
-    };
+    harness::Gates gates;
     for (const CellResult &c : cells) {
-        require(c.wrong_answers == 0,
-                "health management served a wrong answer");
-        require(c.lost_calls == 0, "health management lost a call");
-        require(c.serving_availability >=
-                    baseline.serving_availability,
-                "serving availability fell below the software-fallback "
-                "baseline");
+        gates.RequireExactlyOnce(c.verdict, "health management");
+        gates.Require(c.serving_availability() >=
+                          baseline.serving_availability(),
+                      "serving availability fell below the "
+                      "software-fallback baseline");
     }
     // The sweep must actually exercise the lifecycle: at the highest
     // fault rate, quarantines fire; at rate 0, none do; and at least
     // one cell completed a full repair (quarantine -> scrub ->
     // self-test -> probation -> healthy).
-    require(cells.back().quarantines > 0,
-            "no quarantine fired at the highest fault rate");
-    require(cells.front().quarantines == 0,
-            "a quarantine fired with no faults injected");
+    gates.Require(cells.back().snap.health_quarantines > 0,
+                  "no quarantine fired at the highest fault rate");
+    gates.Require(cells.front().snap.health_quarantines == 0,
+                  "a quarantine fired with no faults injected");
     uint64_t total_reintegrations = 0;
     for (const CellResult &c : cells)
-        total_reintegrations += c.reintegrations;
-    require(total_reintegrations > 0,
-            "no cell completed a repair (reintegration never "
-            "exercised)");
-
-    std::printf("availability under intermittent faults: %s\n",
-                ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+        total_reintegrations += c.snap.health_reintegrations;
+    gates.Require(total_reintegrations > 0,
+                  "no cell completed a repair (reintegration never "
+                  "exercised)");
+    return gates.Report("availability under intermittent faults");
 }

@@ -33,13 +33,12 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/bench_common.h"
-#include "proto/schema_parser.h"
+#include "harness/soak.h"
 #include "rpc/server_runtime.h"
 #include "sim/fault.h"
 
@@ -49,35 +48,6 @@ using proto::Message;
 
 namespace {
 
-struct Options
-{
-    uint64_t calls = 1'500;
-    uint64_t seed = 0xC0FFEE;
-    std::string json_path;
-};
-
-Options
-ParseOptions(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--calls=", 0) == 0)
-            opt.calls = std::strtoull(arg.c_str() + 8, nullptr, 10);
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg.rfind("--json=", 0) == 0)
-            opt.json_path = arg.substr(7);
-        else {
-            std::fprintf(stderr,
-                         "usage: chaos_soak [--calls=N] [--seed=S] "
-                         "[--json=PATH]\n");
-            std::exit(1);
-        }
-    }
-    return opt;
-}
-
 struct ModeResult
 {
     bool crc_enabled = true;
@@ -85,27 +55,12 @@ struct ModeResult
     uint64_t calls = 0;
     uint64_t rounds = 0;
     uint64_t attempts = 0;
-    uint64_t answered = 0;
-    uint64_t wrong_responses = 0;
-    uint64_t unknown_responses = 0;
-    uint64_t lost_calls = 0;
-    uint64_t duplicate_execs = 0;
+    harness::Verdict verdict;
     uint64_t error_replies = 0;
     uint64_t client_reply_drops = 0;
-    uint64_t crc_rejects = 0;
-    uint64_t dedup_hits = 0;
-    uint64_t dedup_insertions = 0;
-    uint64_t workers_crashed = 0;
-    uint64_t redispatched_frames = 0;
-    uint64_t watchdog_resets = 0;
-    uint64_t frames_dropped = 0;
-    uint64_t frames_truncated = 0;
-    uint64_t frames_corrupted = 0;
-    uint64_t units_killed = 0;
-    uint64_t units_wedged = 0;
-    uint64_t offload_frame_headers = 0;
-    uint64_t offload_dedup_probes = 0;
-    double offload_frame_cycles = 0;
+    rpc::RuntimeSnapshot snap;
+    sim::FaultStats channel;  ///< request-path frame faults
+    sim::FaultStats units;    ///< device faults, summed over workers
     /// Modeled per-attempt latency tails, exact nearest-rank (the same
     /// statistic every other BENCH_*.json reports).
     double p50_us = 0;
@@ -116,7 +71,7 @@ struct ModeResult
     uint64_t
     silent_corruptions() const
     {
-        return wrong_responses + unknown_responses;
+        return verdict.wrong_responses + verdict.unknown_responses;
     }
 };
 
@@ -125,23 +80,21 @@ constexpr uint16_t kMethod = 1;
 constexpr uint32_t kMaxRounds = 80;
 
 ModeResult
-RunMode(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
-        uint64_t calls, bool crc_enabled, bool offload = false)
+RunMode(const harness::EchoSchema &echo, uint64_t seed, uint64_t calls,
+        bool crc_enabled, bool offload)
 {
     ModeResult result;
     result.crc_enabled = crc_enabled;
     result.offload = offload;
     result.calls = calls;
+    const DescriptorPool &pool = echo.pool;
 
-    const auto &rd = pool.message(req);
-    const auto &sd = pool.message(rsp);
-    const auto *req_text = rd.FindFieldByName("text");
-    const auto *rsp_text = sd.FindFieldByName("text");
-
-    // Per-key execution counters, bumped by the handler itself: the
-    // ground truth the exactly-once assertions check against.
-    std::unique_ptr<std::atomic<uint32_t>[]> execs(
-        new std::atomic<uint32_t>[calls]());
+    // Server-side execution counts: the ground truth the
+    // exactly-once verdict checks against. Counted by the payload the
+    // handler ran, not by idempotency key: with CRCs off (mode B) a
+    // corrupted header can carry another call's key, and the key would
+    // then misattribute the execution.
+    harness::ExecLedger ledger(calls);
 
     // Scheduled worker crashes: after_calls counts one worker's own
     // completions (~calls / kWorkers each), so scale the kill points to
@@ -201,16 +154,12 @@ RunMode(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
         runtime_config);
 
     runtime.RegisterMethod(
-        kMethod, req, rsp,
+        kMethod, echo.request, echo.response,
         [&](const Message &request, Message response) {
-            const std::string text(request.GetString(*req_text));
-            if (text.rfind("call-", 0) == 0) {
-                const uint64_t idx =
-                    std::strtoull(text.c_str() + 5, nullptr, 10);
-                if (idx < calls)
-                    execs[idx].fetch_add(1, std::memory_order_relaxed);
-            }
-            response.SetString(*rsp_text, text);
+            const std::string text(request.GetString(*echo.request_text));
+            if (text.rfind("call-", 0) == 0)
+                ledger.Record(std::strtoull(text.c_str() + 5, nullptr, 10));
+            response.SetString(*echo.response_text, text);
         });
     runtime.Start();
 
@@ -221,25 +170,24 @@ RunMode(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
     rpc::SoftwareBackend client(cpu::BoomParams(), pool);
     proto::Arena client_arena;
     Rng reply_drop_rng(seed + 9);
-    std::vector<bool> answered(calls, false);
+    harness::AnswerBook book(calls);
+    harness::ReplyHarvester harvester;
     std::vector<bool> reply_dropped(calls, false);
-    std::vector<size_t> reply_offset(kWorkers, 0);
-    uint64_t unanswered = calls;
 
-    for (uint32_t round = 0; round < kMaxRounds && unanswered > 0;
+    for (uint32_t round = 0; round < kMaxRounds && book.unanswered() > 0;
          ++round) {
         ++result.rounds;
         // Submit one fresh attempt for every outstanding call. The
         // idempotency key is stable across attempts — that is what the
         // dedup cache recognizes a retry by.
         for (uint64_t i = 0; i < calls; ++i) {
-            if (answered[i])
+            if (book.answered(i))
                 continue;
             ++result.attempts;
             client_arena.Reset();
             Message request =
-                Message::Create(&client_arena, pool, req);
-            request.SetString(*req_text,
+                Message::Create(&client_arena, pool, echo.request);
+            request.SetString(*echo.request_text,
                               "call-" + std::to_string(i));
             const std::vector<uint8_t> payload =
                 client.Serialize(request);
@@ -283,196 +231,80 @@ RunMode(const DescriptorPool &pool, int req, int rsp, uint64_t seed,
 
         // Harvest every worker's reply stream (dead workers' committed
         // replies included) from where the last round left off.
-        for (uint32_t w = 0; w < kWorkers; ++w) {
-            const rpc::FrameBuffer &rb = runtime.replies(w);
-            size_t &off = reply_offset[w];
-            for (;;) {
-                StatusCode err = StatusCode::kOk;
-                const std::optional<rpc::Frame> f = rb.Next(&off, &err);
-                if (!f.has_value()) {
-                    if (err == StatusCode::kOk)
-                        break;  // exhausted
-                    continue;   // shouldn't happen: replies are clean
-                }
-                if (f->header.kind == rpc::FrameKind::kError) {
-                    ++result.error_replies;
-                    continue;
-                }
-                const uint64_t idx = f->header.call_id - 1;
-                if (f->header.kind != rpc::FrameKind::kResponse ||
-                    idx >= calls || answered[idx]) {
-                    ++result.unknown_responses;
-                    continue;
-                }
-                if (!reply_dropped[idx] &&
-                    reply_drop_rng.NextBool(0.05)) {
-                    // Modeled reply loss: the server committed this
-                    // answer, the client never saw it — the retry must
-                    // dedup, not re-execute.
-                    reply_dropped[idx] = true;
-                    ++result.client_reply_drops;
-                    continue;
-                }
-                client_arena.Reset();
-                Message response =
-                    Message::Create(&client_arena, pool, rsp);
-                const StatusCode parse = client.Deserialize(
-                    f->payload, f->header.payload_bytes, &response);
-                const std::string expect =
-                    "call-" + std::to_string(idx);
-                if (!StatusOk(parse) ||
-                    std::string(response.GetString(*rsp_text)) !=
-                        expect) {
-                    // A corrupted frame was served as an answer. Mark
-                    // the call answered so the count is one per call.
-                    ++result.wrong_responses;
-                }
-                answered[idx] = true;
-                --unanswered;
-                ++result.answered;
+        harvester.Harvest(runtime, [&](const rpc::Frame &f) {
+            if (f.header.kind == rpc::FrameKind::kError) {
+                ++result.error_replies;
+                return;
             }
-        }
+            const int64_t idx = book.Claim(f);
+            if (idx < 0)
+                return;
+            if (!reply_dropped[idx] && reply_drop_rng.NextBool(0.05)) {
+                // Modeled reply loss: the server committed this answer,
+                // the client never saw it — the retry must dedup, not
+                // re-execute.
+                reply_dropped[idx] = true;
+                ++result.client_reply_drops;
+                return;
+            }
+            client_arena.Reset();
+            Message response =
+                Message::Create(&client_arena, pool, echo.response);
+            const StatusCode parse = client.Deserialize(
+                f.payload, f.header.payload_bytes, &response);
+            // A corrupted frame served as an answer still settles the
+            // call, so the wrong count is one per call.
+            book.Answer(idx, StatusOk(parse) &&
+                                 response.GetString(*echo.response_text) ==
+                                     "call-" + std::to_string(idx));
+        });
     }
 
-    const rpc::RuntimeSnapshot snap = runtime.Snapshot();
+    result.snap = runtime.Snapshot();
     std::vector<double> lat = runtime.TakeLatencies();
     result.p50_us = harness::ExactPercentile(lat, 50) / 1000.0;
     result.p99_us = harness::ExactPercentile(lat, 99) / 1000.0;
     runtime.Shutdown();
 
-    result.lost_calls = unanswered;
-    for (uint64_t i = 0; i < calls; ++i) {
-        const uint32_t n =
-            execs[i].load(std::memory_order_relaxed);
-        if (n > 1)
-            result.duplicate_execs += n - 1;
-    }
-    result.crc_rejects = snap.crc_rejects;
-    result.dedup_hits = snap.dedup_hits;
-    result.dedup_insertions = snap.dedup_insertions;
-    result.workers_crashed = snap.workers_crashed;
-    result.redispatched_frames = snap.redispatched_frames;
-    result.watchdog_resets = snap.watchdog_resets;
-    result.offload_frame_headers = snap.offload_frame_headers;
-    result.offload_dedup_probes = snap.offload_dedup_probes;
-    result.offload_frame_cycles = snap.offload_frame_cycles;
-    const sim::FaultStats cs = channel_injector.stats();
-    result.frames_dropped = cs.frames_dropped;
-    result.frames_truncated = cs.frames_truncated;
-    result.frames_corrupted = cs.frames_corrupted;
+    result.verdict = book.verdict(ledger);
+    result.channel = channel_injector.stats();
     for (const auto &inj : unit_injectors) {
-        const sim::FaultStats us = inj->stats();
-        result.units_killed += us.units_killed;
-        result.units_wedged += us.units_wedged;
+        result.units.units_killed += inj->stats().units_killed;
+        result.units.units_wedged += inj->stats().units_wedged;
     }
     return result;
 }
 
 void
-PrintMode(const char *title, const ModeResult &r)
+WriteModeJson(harness::JsonWriter *json, const char *name,
+              const ModeResult &r)
 {
-    std::printf(
-        "%s\n"
-        "  calls %llu  rounds %llu  attempts %llu  answered %llu\n"
-        "  faults injected: drop %llu  truncate %llu  corrupt %llu  "
-        "unit-kill %llu  unit-wedge %llu  worker-crash %llu\n"
-        "  recovery: crc-rejects %llu  dedup-hits %llu  "
-        "redispatched %llu  watchdog-resets %llu  reply-drops %llu\n"
-        "  verdict: wrong %llu  unknown %llu  lost %llu  "
-        "dup-execs %llu  (silent corruptions: %llu)\n"
-        "  modeled latency: p50 %.1f us  p99 %.1f us (exact "
-        "nearest-rank)\n\n",
-        title, static_cast<unsigned long long>(r.calls),
-        static_cast<unsigned long long>(r.rounds),
-        static_cast<unsigned long long>(r.attempts),
-        static_cast<unsigned long long>(r.answered),
-        static_cast<unsigned long long>(r.frames_dropped),
-        static_cast<unsigned long long>(r.frames_truncated),
-        static_cast<unsigned long long>(r.frames_corrupted),
-        static_cast<unsigned long long>(r.units_killed),
-        static_cast<unsigned long long>(r.units_wedged),
-        static_cast<unsigned long long>(r.workers_crashed),
-        static_cast<unsigned long long>(r.crc_rejects),
-        static_cast<unsigned long long>(r.dedup_hits),
-        static_cast<unsigned long long>(r.redispatched_frames),
-        static_cast<unsigned long long>(r.watchdog_resets),
-        static_cast<unsigned long long>(r.client_reply_drops),
-        static_cast<unsigned long long>(r.wrong_responses),
-        static_cast<unsigned long long>(r.unknown_responses),
-        static_cast<unsigned long long>(r.lost_calls),
-        static_cast<unsigned long long>(r.duplicate_execs),
-        static_cast<unsigned long long>(r.silent_corruptions()),
-        r.p50_us, r.p99_us);
-    if (r.offload)
-        std::printf(
-            "  offload: frame-headers %llu  dedup-probes %llu  "
-            "engine-cycles %.0f\n\n",
-            static_cast<unsigned long long>(r.offload_frame_headers),
-            static_cast<unsigned long long>(r.offload_dedup_probes),
-            r.offload_frame_cycles);
-}
-
-void
-WriteModeJson(std::FILE *f, const char *name, const ModeResult &r)
-{
-    std::fprintf(
-        f,
-        "  \"%s\": {\n"
-        "    \"crc_enabled\": %s,\n"
-        "    \"offload\": %s,\n"
-        "    \"calls\": %llu,\n"
-        "    \"rounds\": %llu,\n"
-        "    \"attempts\": %llu,\n"
-        "    \"answered\": %llu,\n"
-        "    \"wrong_responses\": %llu,\n"
-        "    \"unknown_responses\": %llu,\n"
-        "    \"lost_calls\": %llu,\n"
-        "    \"duplicate_execs\": %llu,\n"
-        "    \"silent_corruptions\": %llu,\n"
-        "    \"crc_rejects\": %llu,\n"
-        "    \"dedup_hits\": %llu,\n"
-        "    \"dedup_insertions\": %llu,\n"
-        "    \"client_reply_drops\": %llu,\n"
-        "    \"workers_crashed\": %llu,\n"
-        "    \"redispatched_frames\": %llu,\n"
-        "    \"watchdog_resets\": %llu,\n"
-        "    \"frames_dropped\": %llu,\n"
-        "    \"frames_truncated\": %llu,\n"
-        "    \"frames_corrupted\": %llu,\n"
-        "    \"units_killed\": %llu,\n"
-        "    \"units_wedged\": %llu,\n"
-        "    \"offload_frame_headers\": %llu,\n"
-        "    \"offload_dedup_probes\": %llu,\n"
-        "    \"offload_frame_cycles\": %.0f,\n"
-        "    \"p50_us\": %.3f,\n"
-        "    \"p99_us\": %.3f\n"
-        "  }",
-        name, r.crc_enabled ? "true" : "false",
-        r.offload ? "true" : "false",
-        static_cast<unsigned long long>(r.calls),
-        static_cast<unsigned long long>(r.rounds),
-        static_cast<unsigned long long>(r.attempts),
-        static_cast<unsigned long long>(r.answered),
-        static_cast<unsigned long long>(r.wrong_responses),
-        static_cast<unsigned long long>(r.unknown_responses),
-        static_cast<unsigned long long>(r.lost_calls),
-        static_cast<unsigned long long>(r.duplicate_execs),
-        static_cast<unsigned long long>(r.silent_corruptions()),
-        static_cast<unsigned long long>(r.crc_rejects),
-        static_cast<unsigned long long>(r.dedup_hits),
-        static_cast<unsigned long long>(r.dedup_insertions),
-        static_cast<unsigned long long>(r.client_reply_drops),
-        static_cast<unsigned long long>(r.workers_crashed),
-        static_cast<unsigned long long>(r.redispatched_frames),
-        static_cast<unsigned long long>(r.watchdog_resets),
-        static_cast<unsigned long long>(r.frames_dropped),
-        static_cast<unsigned long long>(r.frames_truncated),
-        static_cast<unsigned long long>(r.frames_corrupted),
-        static_cast<unsigned long long>(r.units_killed),
-        static_cast<unsigned long long>(r.units_wedged),
-        static_cast<unsigned long long>(r.offload_frame_headers),
-        static_cast<unsigned long long>(r.offload_dedup_probes),
-        r.offload_frame_cycles, r.p50_us, r.p99_us);
+    json->BeginObject(name)
+        .Bool("crc_enabled", r.crc_enabled)
+        .Bool("offload", r.offload)
+        .Uint("calls", r.calls)
+        .Uint("rounds", r.rounds)
+        .Uint("attempts", r.attempts);
+    r.verdict.Write(json);
+    json->Uint("silent_corruptions", r.silent_corruptions())
+        .Uint("crc_rejects", r.snap.crc_rejects)
+        .Uint("dedup_hits", r.snap.dedup_hits)
+        .Uint("dedup_insertions", r.snap.dedup_insertions)
+        .Uint("client_reply_drops", r.client_reply_drops)
+        .Uint("workers_crashed", r.snap.workers_crashed)
+        .Uint("redispatched_frames", r.snap.redispatched_frames)
+        .Uint("watchdog_resets", r.snap.watchdog_resets)
+        .Uint("frames_dropped", r.channel.frames_dropped)
+        .Uint("frames_truncated", r.channel.frames_truncated)
+        .Uint("frames_corrupted", r.channel.frames_corrupted)
+        .Uint("units_killed", r.units.units_killed)
+        .Uint("units_wedged", r.units.units_wedged)
+        .Uint("offload_frame_headers", r.snap.offload_frame_headers)
+        .Uint("offload_dedup_probes", r.snap.offload_dedup_probes)
+        .Num("offload_frame_cycles", r.snap.offload_frame_cycles, "%.0f")
+        .Num("p50_us", r.p50_us, "%.3f")
+        .Num("p99_us", r.p99_us, "%.3f")
+        .EndObject();
 }
 
 }  // namespace
@@ -480,103 +312,83 @@ WriteModeJson(std::FILE *f, const char *name, const ModeResult &r)
 int
 main(int argc, char **argv)
 {
-    const Options opt = ParseOptions(argc, argv);
+    uint64_t calls = 1'500;
+    uint64_t seed = 0xC0FFEE;
+    std::string json_path;
+    harness::FlagParser flags("chaos_soak");
+    flags.Add("calls", "N", &calls);
+    flags.Add("seed", "S", &seed);
+    flags.Add("json", "PATH", &json_path);
+    flags.Parse(argc, argv);
 
-    DescriptorPool pool;
-    const auto parsed = proto::ParseSchema(R"(
-        message ChaosRequest { optional string text = 1; }
-        message ChaosResponse { optional string text = 1; }
-    )",
-                                           &pool);
-    PA_CHECK(parsed.ok);
-    pool.Compile(proto::HasbitsMode::kSparse);
-    const int req = pool.FindMessage("ChaosRequest");
-    const int rsp = pool.FindMessage("ChaosResponse");
+    const harness::EchoSchema echo;
 
     std::printf("Chaos soak — %llu calls, seed 0x%llx, %u workers\n"
                 "=================================================\n\n",
-                static_cast<unsigned long long>(opt.calls),
-                static_cast<unsigned long long>(opt.seed), kWorkers);
+                static_cast<unsigned long long>(calls),
+                static_cast<unsigned long long>(seed), kWorkers);
 
-    const ModeResult with_crc =
-        RunMode(pool, req, rsp, opt.seed, opt.calls, true);
-    PrintMode("Mode A — frame CRCs ON (shipped configuration)",
-              with_crc);
-
-    const ModeResult without_crc =
-        RunMode(pool, req, rsp, opt.seed, opt.calls, false);
-    PrintMode("Mode B — frame CRCs OFF (pre-integrity stack, same "
-              "fault schedule)",
-              without_crc);
-
-    const ModeResult offloaded =
-        RunMode(pool, req, rsp, opt.seed, opt.calls, true, true);
-    PrintMode("Mode C — frame CRCs ON + offloaded datapath (same "
-              "fault schedule)",
-              offloaded);
-
-    if (!opt.json_path.empty()) {
-        std::FILE *f = std::fopen(opt.json_path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n");
-        WriteModeJson(f, "crc_on", with_crc);
-        std::fprintf(f, ",\n");
-        WriteModeJson(f, "crc_off", without_crc);
-        std::fprintf(f, ",\n");
-        WriteModeJson(f, "crc_on_offload", offloaded);
-        std::fprintf(f, "\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n\n", opt.json_path.c_str());
-    }
-
-    bool ok = true;
-    auto require = [&ok](bool cond, const char *what) {
-        if (!cond) {
-            std::fprintf(stderr, "FAIL: %s\n", what);
-            ok = false;
-        }
+    // Each mode's counters print to stdout and land in the JSON file
+    // through the same writer.
+    const struct
+    {
+        const char *key, *title;
+        bool crc, offload;
+    } modes[] = {
+        {"crc_on", "Mode A — frame CRCs ON (shipped configuration)", true,
+         false},
+        {"crc_off",
+         "Mode B — frame CRCs OFF (pre-integrity stack, same fault "
+         "schedule)",
+         false, false},
+        {"crc_on_offload",
+         "Mode C — frame CRCs ON + offloaded datapath (same fault "
+         "schedule)",
+         true, true},
     };
-    require(with_crc.wrong_responses == 0,
-            "mode A served a wrong response");
-    require(with_crc.unknown_responses == 0,
-            "mode A produced an unattributable response");
-    require(with_crc.lost_calls == 0, "mode A lost a call");
-    require(with_crc.duplicate_execs == 0,
-            "mode A executed a call twice");
-    require(with_crc.crc_rejects > 0,
-            "mode A detected no corruption (faults not exercised)");
-    require(with_crc.dedup_hits > 0,
-            "mode A recorded no dedup hits (retry path not exercised)");
-    require(with_crc.workers_crashed == 2,
-            "mode A: scheduled worker crashes did not fire");
-    require(with_crc.watchdog_resets > 0,
-            "mode A recorded no watchdog resets");
-    require(without_crc.silent_corruptions() > 0,
-            "mode B served no silent corruptions (CRC-off baseline "
-            "should)");
-    require(offloaded.wrong_responses == 0,
-            "mode C (offload) served a wrong response");
-    require(offloaded.unknown_responses == 0,
-            "mode C (offload) produced an unattributable response");
-    require(offloaded.lost_calls == 0, "mode C (offload) lost a call");
-    require(offloaded.duplicate_execs == 0,
-            "mode C (offload) executed a call twice");
-    require(offloaded.crc_rejects > 0,
-            "mode C (offload) detected no corruption");
-    require(offloaded.dedup_hits > 0,
-            "mode C (offload) recorded no dedup hits");
-    require(offloaded.workers_crashed == 2,
-            "mode C (offload): scheduled worker crashes did not fire");
-    require(offloaded.offload_frame_headers > 0 &&
-                offloaded.offload_frame_cycles > 0,
-            "mode C: offload frame engine saw no traffic (datapath "
-            "not engaged)");
+    std::vector<ModeResult> results;
+    harness::JsonWriter json;
+    json.BeginObject();
+    for (const auto &m : modes) {
+        results.push_back(
+            RunMode(echo, seed, calls, m.crc, m.offload));
+        harness::JsonWriter text;
+        WriteModeJson(&text, nullptr, results.back());
+        std::printf("%s\n%s\n", m.title, text.str().c_str());
+        WriteModeJson(&json, m.key, results.back());
+    }
+    json.EndObject();
+    if (!json_path.empty() && !json.WriteFile(json_path))
+        return 1;
+    const ModeResult &with_crc = results[0];
+    const ModeResult &without_crc = results[1];
+    const ModeResult &offloaded = results[2];
 
-    std::printf("exactly-once under chaos: %s\n",
-                ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    harness::Gates gates;
+    gates.RequireExactlyOnce(with_crc.verdict, "mode A");
+    gates.Require(with_crc.snap.crc_rejects > 0,
+                  "mode A detected no corruption (faults not exercised)");
+    gates.Require(with_crc.snap.dedup_hits > 0,
+                  "mode A recorded no dedup hits (retry path not "
+                  "exercised)");
+    gates.Require(with_crc.snap.workers_crashed == 2,
+                  "mode A: scheduled worker crashes did not fire");
+    gates.Require(with_crc.snap.watchdog_resets > 0,
+                  "mode A recorded no watchdog resets");
+    gates.Require(without_crc.silent_corruptions() > 0,
+                  "mode B served no silent corruptions (CRC-off baseline "
+                  "should)");
+    gates.RequireExactlyOnce(offloaded.verdict, "mode C (offload)");
+    gates.Require(offloaded.snap.crc_rejects > 0,
+                  "mode C (offload) detected no corruption");
+    gates.Require(offloaded.snap.dedup_hits > 0,
+                  "mode C (offload) recorded no dedup hits");
+    gates.Require(offloaded.snap.workers_crashed == 2,
+                  "mode C (offload): scheduled worker crashes did not "
+                  "fire");
+    gates.Require(offloaded.snap.offload_frame_headers > 0 &&
+                      offloaded.snap.offload_frame_cycles > 0,
+                  "mode C: offload frame engine saw no traffic (datapath "
+                  "not engaged)");
+    return gates.Report("exactly-once under chaos");
 }

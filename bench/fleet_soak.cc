@@ -43,16 +43,15 @@
  *        --json=PATH  result JSON (default BENCH_fleet.json; "" skips)
  */
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/bench_common.h"
+#include "harness/soak.h"
 #include "profile/fleet_model.h"
 #include "proto/schema_parser.h"
 #include "rpc/server_runtime.h"
@@ -69,39 +68,8 @@ constexpr uint32_t kWorkers = 4;
 constexpr uint16_t kMethod = 1;
 constexpr double kWindowNs = 1e6;  // one diurnal window, modeled ns
 constexpr uint32_t kMaxCatchupRounds = 60;
-
-struct Options
-{
-    uint32_t windows = 6;
-    uint64_t seed = 0xF1EE7;
-    double scale = 1.0;
-    std::string json_path = "BENCH_fleet.json";
-};
-
-Options
-ParseOptions(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--windows=", 0) == 0)
-            opt.windows = static_cast<uint32_t>(
-                std::strtoul(arg.c_str() + 10, nullptr, 10));
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-        else if (arg.rfind("--scale=", 0) == 0)
-            opt.scale = std::strtod(arg.c_str() + 8, nullptr);
-        else if (arg.rfind("--json=", 0) == 0)
-            opt.json_path = arg.substr(7);
-        else {
-            std::fprintf(stderr,
-                         "usage: fleet_soak [--windows=N] [--seed=S] "
-                         "[--scale=F] [--json=PATH]\n");
-            std::exit(1);
-        }
-    }
-    return opt;
-}
+/// Call i travels with idempotency key kFirstKey + i.
+constexpr uint64_t kFirstKey = 0xF1EE'7000'0000'0000ull;
 
 /// One tenant class in a replica's serving mix.
 struct ClassSpec
@@ -164,11 +132,10 @@ struct ClassResult
 struct SoakResult
 {
     std::vector<ClassResult> classes;
-    uint64_t wrong = 0, lost = 0, duplicates = 0;
+    harness::Verdict verdict;
     uint64_t calls = 0, shed = 0, rounds = 0;
     uint64_t dedup_hits = 0, watchdog_resets = 0;
     uint64_t reply_drops = 0;
-    double span_ns = 0;
 
     const ClassResult &
     by_name(const char *name) const
@@ -245,9 +212,8 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
         }
     }
 
-    // Ground truth for the exactly-once verdict, bumped by the handler.
-    std::unique_ptr<std::atomic<uint32_t>[]> execs(
-        new std::atomic<uint32_t>[total_calls]());
+    // Ground truth for the exactly-once verdict.
+    harness::ExecLedger ledger(total_calls);
 
     // Device faults: unit wedges and stalls on every worker's private
     // accelerator, recovered by the unit watchdog. No worker kills —
@@ -326,15 +292,9 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
     runtime.RegisterMethod(
         kMethod, req, rsp,
         [&](const Message &request, Message response) {
-            const std::string text(request.GetString(*req_text));
-            if (text.rfind("c", 0) == 0) {
-                const uint64_t idx =
-                    std::strtoull(text.c_str() + 1, nullptr, 10);
-                if (idx < total_calls)
-                    execs[idx].fetch_add(1, std::memory_order_relaxed);
-            }
-            response.SetString(*rsp_text, text);
+            response.SetString(*rsp_text, request.GetString(*req_text));
         });
+    ledger.Observe(&runtime, kFirstKey);
 
     // Client state: one logical call per index. Retries reuse the call
     // id and idempotency key; a seeded fraction of first replies is
@@ -344,7 +304,6 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
         uint32_t class_idx = 0;
         std::string text;
         bool accepted = false;
-        bool answered = false;
         /// Decided at creation, in call-index order: drawing from a
         /// shared RNG at harvest time would let the racy reply
         /// encounter order (batch boundaries depend on host thread
@@ -356,7 +315,8 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
     std::vector<LogicalCall> calls;
     calls.reserve(total_calls);
     std::vector<uint32_t> outstanding;  // unaccepted, to retry
-    std::vector<size_t> reply_offset(kWorkers, 0);
+    harness::AnswerBook book(total_calls);
+    harness::ReplyHarvester harvester;
 
     std::vector<Rng> arrival_rngs;
     std::vector<std::vector<uint32_t>> pad_sizes;
@@ -390,7 +350,7 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
         header.kind = rpc::FrameKind::kRequest;
         header.payload_bytes = static_cast<uint32_t>(payload.size());
         header.tenant_id = mix[call.class_idx].id;
-        header.idempotency_key = 0xF1EE'7000'0000'0000ull + idx;
+        header.idempotency_key = kFirstKey + idx;
         const StatusCode st =
             runtime.Submit(header, payload.data(), arrival_ns);
         if (StatusOk(st))
@@ -399,44 +359,29 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
     };
 
     const auto harvest = [&] {
-        for (uint32_t w = 0; w < kWorkers; ++w) {
-            const rpc::FrameBuffer &rb = runtime.replies(w);
-            size_t &off = reply_offset[w];
-            for (;;) {
-                StatusCode err = StatusCode::kOk;
-                const std::optional<rpc::Frame> f = rb.Next(&off, &err);
-                if (!f.has_value()) {
-                    if (err == StatusCode::kOk)
-                        break;
-                    continue;
-                }
-                if (f->header.kind != rpc::FrameKind::kResponse)
-                    continue;
-                const uint64_t idx = f->header.call_id - 1;
-                if (idx >= calls.size() || calls[idx].answered)
-                    continue;
-                LogicalCall &call = calls[idx];
-                if (call.drop_first_reply && !call.reply_dropped) {
-                    // Modeled reply loss: the server committed this
-                    // answer; the retry must dedup, not re-execute.
-                    call.reply_dropped = true;
-                    call.accepted = false;  // client will retry
-                    ++result.reply_drops;
-                    continue;
-                }
-                client_arena.Reset();
-                Message response =
-                    Message::Create(&client_arena, pool, rsp);
-                const StatusCode parse = client.Deserialize(
-                    f->payload, f->header.payload_bytes, &response);
-                if (!StatusOk(parse) ||
-                    std::string(response.GetString(*rsp_text)) !=
-                        call.text)
-                    ++result.wrong;
-                call.answered = true;
-                ++result.classes[call.class_idx].answered;
+        harvester.Harvest(runtime, [&](const rpc::Frame &f) {
+            if (f.header.kind == rpc::FrameKind::kError)
+                return;
+            const int64_t idx = book.Claim(f);
+            if (idx < 0)
+                return;
+            LogicalCall &call = calls[idx];
+            if (call.drop_first_reply && !call.reply_dropped) {
+                // Modeled reply loss: the server committed this answer;
+                // the retry must dedup, not re-execute.
+                call.reply_dropped = true;
+                call.accepted = false;  // client will retry
+                ++result.reply_drops;
+                return;
             }
-        }
+            client_arena.Reset();
+            Message response = Message::Create(&client_arena, pool, rsp);
+            const StatusCode parse = client.Deserialize(
+                f.payload, f.header.payload_bytes, &response);
+            book.Answer(idx, StatusOk(parse) &&
+                                 response.GetString(*rsp_text) == call.text);
+            ++result.classes[call.class_idx].answered;
+        });
     };
 
     // ---- the soak: diurnal windows of open-loop arrivals ----
@@ -485,7 +430,7 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
         // dominates the p99 — do not depend on how fast the host
         // thread submitted relative to the workers.
         for (const auto &[arrival, idx] : submissions) {
-            if (calls[idx].answered || calls[idx].accepted)
+            if (book.answered(idx) || calls[idx].accepted)
                 continue;
             if (!submit_one(idx, arrival) &&
                 !mix[calls[idx].class_idx].hostile)
@@ -497,7 +442,7 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
         harvest();
         // Reply-dropped calls retry next window with the same key.
         for (uint32_t idx = 0; idx < calls.size(); ++idx)
-            if (!calls[idx].answered && !calls[idx].accepted &&
+            if (!book.answered(idx) && !calls[idx].accepted &&
                 calls[idx].reply_dropped)
                 outstanding.push_back(idx);
         std::sort(outstanding.begin(), outstanding.end());
@@ -511,7 +456,7 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
     for (uint32_t round = 0; round < kMaxCatchupRounds; ++round) {
         std::vector<uint32_t> pending;
         for (uint32_t idx = 0; idx < calls.size(); ++idx)
-            if (!calls[idx].answered && !calls[idx].accepted &&
+            if (!book.answered(idx) && !calls[idx].accepted &&
                 !mix[calls[idx].class_idx].hostile)
                 pending.push_back(idx);
         if (pending.empty())
@@ -532,24 +477,21 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
         runtime.TakeCallRecords();
 
     // ---- fold the verdict ----
+    result.verdict = book.verdict(ledger);
+    result.verdict.lost_calls = 0;
     for (uint32_t idx = 0; idx < static_cast<uint32_t>(calls.size());
          ++idx) {
         const LogicalCall &call = calls[idx];
         if (call.accepted || call.reply_dropped)
             ++result.classes[call.class_idx].accepted;
-        if (call.answered)
+        if (book.answered(idx))
             continue;
         // A call the admission layer accepted — or a well-behaved call
         // at all — must have been answered. Hostile calls shed on
         // every attempt are the contract working, not loss.
         if (call.accepted || call.reply_dropped ||
             !mix[call.class_idx].hostile)
-            ++result.lost;
-    }
-    for (uint64_t i = 0; i < total_calls; ++i) {
-        const uint32_t n = execs[i].load(std::memory_order_relaxed);
-        if (n > 1)
-            result.duplicates += n - 1;
+            ++result.verdict.lost_calls;
     }
     std::vector<std::vector<double>> latencies(mix.size());
     for (const rpc::CallRecord &r : records)
@@ -578,39 +520,7 @@ RunReplica(const DescriptorPool &pool, int req, int rsp,
     result.shed = snap.shed;
     result.dedup_hits = snap.dedup_hits;
     result.watchdog_resets = snap.watchdog_resets;
-    result.span_ns = snap.modeled_span_ns;
     return result;
-}
-
-void
-PrintReplica(const char *title, const SoakResult &r)
-{
-    std::printf("%s\n", title);
-    std::printf("  %-8s %9s %9s %9s %9s %9s %9s %11s %11s %8s\n",
-                "class", "offered", "accepted", "answered", "shed-bkt",
-                "shed-brk", "trips", "p99(ns)", "p999(ns)", "slo");
-    for (const ClassResult &c : r.classes)
-        std::printf(
-            "  %-8s %9llu %9llu %9llu %9llu %9llu %9llu %11.1f "
-            "%11.1f %7.4f\n",
-            c.name.c_str(), static_cast<unsigned long long>(c.offered),
-            static_cast<unsigned long long>(c.accepted),
-            static_cast<unsigned long long>(c.answered),
-            static_cast<unsigned long long>(c.counters.shed_bucket),
-            static_cast<unsigned long long>(c.counters.shed_breaker),
-            static_cast<unsigned long long>(c.counters.breaker_trips),
-            c.p99, c.p999, c.slo_attainment);
-    std::printf(
-        "  verdict: wrong %llu  lost %llu  dup %llu  "
-        "dedup-hits %llu  reply-drops %llu  watchdog-resets %llu  "
-        "rounds %llu\n\n",
-        static_cast<unsigned long long>(r.wrong),
-        static_cast<unsigned long long>(r.lost),
-        static_cast<unsigned long long>(r.duplicates),
-        static_cast<unsigned long long>(r.dedup_hits),
-        static_cast<unsigned long long>(r.reply_drops),
-        static_cast<unsigned long long>(r.watchdog_resets),
-        static_cast<unsigned long long>(r.rounds));
 }
 
 /// The layout-independent counters two same-seed runs must agree on.
@@ -632,9 +542,10 @@ CountersEqual(const SoakResult &a, const SoakResult &b)
     };
     check("calls", a.calls, b.calls);
     check("shed", a.shed, b.shed);
-    check("wrong", a.wrong, b.wrong);
-    check("lost", a.lost, b.lost);
-    check("duplicates", a.duplicates, b.duplicates);
+    if (!(a.verdict == b.verdict)) {
+        std::fprintf(stderr, "  determinism: verdict diverged\n");
+        equal = false;
+    }
     check("dedup_hits", a.dedup_hits, b.dedup_hits);
     check("reply_drops", a.reply_drops, b.reply_drops);
     if (a.classes.size() != b.classes.size())
@@ -657,50 +568,35 @@ CountersEqual(const SoakResult &a, const SoakResult &b)
 }
 
 void
-WriteClassJson(std::FILE *f, const ClassResult &c, bool last)
+WriteReplicaJson(harness::JsonWriter *json, const char *name,
+                 const SoakResult &r)
 {
-    std::fprintf(
-        f,
-        "      {\"class\": \"%s\", \"tenant\": %u, "
-        "\"offered\": %llu, \"accepted\": %llu, \"answered\": %llu,\n"
-        "       \"admitted\": %llu, \"shed_bucket\": %llu, "
-        "\"shed_breaker\": %llu, \"shed_brownout\": %llu,\n"
-        "       \"breaker_trips\": %llu, \"completed\": %llu, "
-        "\"p50_ns\": %.3f, \"p99_ns\": %.3f, \"p999_ns\": %.3f,\n"
-        "       \"slo_attainment\": %.6f}%s\n",
-        c.name.c_str(), c.id,
-        static_cast<unsigned long long>(c.offered),
-        static_cast<unsigned long long>(c.accepted),
-        static_cast<unsigned long long>(c.answered),
-        static_cast<unsigned long long>(c.counters.admitted),
-        static_cast<unsigned long long>(c.counters.shed_bucket),
-        static_cast<unsigned long long>(c.counters.shed_breaker),
-        static_cast<unsigned long long>(c.counters.shed_brownout),
-        static_cast<unsigned long long>(c.counters.breaker_trips),
-        static_cast<unsigned long long>(c.counters.calls_completed),
-        c.p50, c.p99, c.p999, c.slo_attainment, last ? "" : ",");
-}
-
-void
-WriteReplicaJson(std::FILE *f, const char *name, const SoakResult &r)
-{
-    std::fprintf(f,
-                 "  \"%s\": {\n"
-                 "    \"wrong\": %llu, \"lost\": %llu, "
-                 "\"duplicates\": %llu, \"dedup_hits\": %llu,\n"
-                 "    \"reply_drops\": %llu, "
-                 "\"watchdog_resets\": %llu, \"rounds\": %llu,\n"
-                 "    \"tenants\": [\n",
-                 name, static_cast<unsigned long long>(r.wrong),
-                 static_cast<unsigned long long>(r.lost),
-                 static_cast<unsigned long long>(r.duplicates),
-                 static_cast<unsigned long long>(r.dedup_hits),
-                 static_cast<unsigned long long>(r.reply_drops),
-                 static_cast<unsigned long long>(r.watchdog_resets),
-                 static_cast<unsigned long long>(r.rounds));
-    for (size_t i = 0; i < r.classes.size(); ++i)
-        WriteClassJson(f, r.classes[i], i + 1 == r.classes.size());
-    std::fprintf(f, "    ]\n  }");
+    json->BeginObject(name);
+    r.verdict.Write(json);
+    json->Uint("dedup_hits", r.dedup_hits)
+        .Uint("reply_drops", r.reply_drops)
+        .Uint("watchdog_resets", r.watchdog_resets)
+        .Uint("rounds", r.rounds)
+        .BeginArray("tenants");
+    for (const ClassResult &c : r.classes)
+        json->BeginObject()
+            .Str("class", c.name)
+            .Uint("tenant", c.id)
+            .Uint("offered", c.offered)
+            .Uint("accepted", c.accepted)
+            .Uint("answered", c.answered)
+            .Uint("admitted", c.counters.admitted)
+            .Uint("shed_bucket", c.counters.shed_bucket)
+            .Uint("shed_breaker", c.counters.shed_breaker)
+            .Uint("shed_brownout", c.counters.shed_brownout)
+            .Uint("breaker_trips", c.counters.breaker_trips)
+            .Uint("completed", c.counters.calls_completed)
+            .Num("p50_ns", c.p50, "%.3f")
+            .Num("p99_ns", c.p99, "%.3f")
+            .Num("p999_ns", c.p999, "%.3f")
+            .Num("slo_attainment", c.slo_attainment, "%.6f")
+            .EndObject();
+    json->EndArray().EndObject();
 }
 
 }  // namespace
@@ -708,7 +604,16 @@ WriteReplicaJson(std::FILE *f, const char *name, const SoakResult &r)
 int
 main(int argc, char **argv)
 {
-    const Options opt = ParseOptions(argc, argv);
+    uint32_t windows = 6;
+    uint64_t seed = 0xF1EE7;
+    double scale = 1.0;
+    std::string json_path = "BENCH_fleet.json";
+    harness::FlagParser flags("fleet_soak");
+    flags.Add("windows", "N", &windows);
+    flags.Add("seed", "S", &seed);
+    flags.Add("scale", "F", &scale);
+    flags.Add("json", "PATH", &json_path);
+    flags.Parse(argc, argv);
 
     DescriptorPool pool;
     const auto parsed = proto::ParseSchema(R"(
@@ -726,111 +631,89 @@ main(int argc, char **argv)
 
     profile::FleetParams fleet_params;
     fleet_params.num_services = 4;
-    const profile::Fleet fleet(fleet_params, opt.seed);
+    const profile::Fleet fleet(fleet_params, seed);
 
     std::printf(
         "Fleet SLO soak — %u windows, seed 0x%llx, 2 replicas x %u "
         "workers\n"
         "==========================================================="
         "\n\n",
-        opt.windows, static_cast<unsigned long long>(opt.seed),
+        windows, static_cast<unsigned long long>(seed),
         kWorkers);
 
     const std::vector<ClassSpec> clean_mix = WithoutHostile(kVictimMix);
     const SoakResult victim =
-        RunReplica(pool, req, rsp, fleet, kVictimMix, opt.seed,
-                   opt.windows, opt.scale);
-    PrintReplica("Replica 0 — victim mix + hostile flooder", victim);
+        RunReplica(pool, req, rsp, fleet, kVictimMix, seed,
+                   windows, scale);
     const SoakResult clean =
-        RunReplica(pool, req, rsp, fleet, clean_mix, opt.seed + 1,
-                   opt.windows, opt.scale);
-    PrintReplica("Replica 1 — clean mix, no hostile", clean);
+        RunReplica(pool, req, rsp, fleet, clean_mix, seed + 1,
+                   windows, scale);
 
     // Solo baseline: replica 0's exact run with only the hostile
     // tenant removed — identical seeds, arrivals, faults. The victim
     // gold p99 over this baseline is the noisy-neighbor cost.
     const SoakResult solo =
-        RunReplica(pool, req, rsp, fleet, clean_mix, opt.seed,
-                   opt.windows, opt.scale);
+        RunReplica(pool, req, rsp, fleet, clean_mix, seed,
+                   windows, scale);
     const double victim_p99 = victim.by_name("gold").p99;
     const double solo_p99 = solo.by_name("gold").p99;
     const double fairness =
         solo_p99 > 0 ? victim_p99 / solo_p99 : 0;
-    std::printf("Fairness: victim gold p99 %.1f ns vs solo %.1f ns "
-                "(ratio %.3f, bound 1.5)\n\n",
-                victim_p99, solo_p99, fairness);
 
     // Determinism: a second identical run of the loaded replica must
     // agree on every admission/completion counter.
     const SoakResult victim2 =
-        RunReplica(pool, req, rsp, fleet, kVictimMix, opt.seed,
-                   opt.windows, opt.scale);
+        RunReplica(pool, req, rsp, fleet, kVictimMix, seed,
+                   windows, scale);
     const bool deterministic = CountersEqual(victim, victim2);
-    std::printf("Determinism: same-seed counter replay %s\n\n",
-                deterministic ? "EQUAL" : "DIVERGED");
 
-    if (!opt.json_path.empty()) {
-        std::FILE *f = std::fopen(opt.json_path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f,
-                     "{\n  \"seed\": %llu,\n  \"windows\": %u,\n"
-                     "  \"fairness_ratio\": %.6f,\n"
-                     "  \"victim_gold_p99_ns\": %.3f,\n"
-                     "  \"solo_gold_p99_ns\": %.3f,\n"
-                     "  \"deterministic_counters\": %s,\n",
-                     static_cast<unsigned long long>(opt.seed),
-                     opt.windows, fairness, victim_p99, solo_p99,
-                     deterministic ? "true" : "false");
-        WriteReplicaJson(f, "victim_replica", victim);
-        std::fprintf(f, ",\n");
-        WriteReplicaJson(f, "clean_replica", clean);
-        std::fprintf(f, ",\n");
-        WriteReplicaJson(f, "solo_baseline", solo);
-        std::fprintf(f, "\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n\n", opt.json_path.c_str());
-    }
+    // victim_replica: replica 0, victim mix + hostile flooder;
+    // clean_replica: replica 1, no hostile; solo_baseline: replica 0's
+    // run without the hostile tenant. fairness_ratio is victim gold p99
+    // over solo gold p99 (bound 1.5).
+    harness::JsonWriter json;
+    json.BeginObject()
+        .Uint("seed", seed)
+        .Uint("windows", windows)
+        .Num("fairness_ratio", fairness, "%.6f")
+        .Num("victim_gold_p99_ns", victim_p99, "%.3f")
+        .Num("solo_gold_p99_ns", solo_p99, "%.3f")
+        .Bool("deterministic_counters", deterministic);
+    WriteReplicaJson(&json, "victim_replica", victim);
+    WriteReplicaJson(&json, "clean_replica", clean);
+    WriteReplicaJson(&json, "solo_baseline", solo);
+    json.EndObject();
+    std::printf("%s\n", json.str().c_str());
+    if (!json_path.empty() && !json.WriteFile(json_path))
+        return 1;
 
-    bool ok = true;
-    auto require = [&ok](bool cond, const char *what) {
-        if (!cond) {
-            std::fprintf(stderr, "FAIL: %s\n", what);
-            ok = false;
-        }
-    };
+    harness::Gates gates;
     for (const SoakResult *r : {&victim, &clean}) {
-        require(r->wrong == 0, "a response failed payload verification");
-        require(r->lost == 0, "a well-behaved call was never answered");
-        require(r->duplicates == 0, "a call executed more than once");
-        require(r->dedup_hits > 0,
-                "no dedup hits (retry path not exercised)");
-        require(r->watchdog_resets > 0,
-                "no watchdog resets (device faults not exercised)");
+        gates.RequireExactlyOnce(r->verdict, "fleet soak");
+        gates.Require(r->dedup_hits > 0,
+                      "no dedup hits (retry path not exercised)");
+        gates.Require(r->watchdog_resets > 0,
+                      "no watchdog resets (device faults not exercised)");
     }
     const ClassResult &hostile = victim.by_name("hostile");
-    require(hostile.counters.shed_bucket > 0,
-            "hostile flood not shed by its token bucket");
-    require(hostile.counters.breaker_trips > 0,
-            "hostile retry storm never tripped the breaker");
-    require(hostile.counters.shed_breaker > 0,
-            "breaker tripped but shed nothing");
-    require(hostile.answered > 0,
-            "hostile tenant starved outright (contract admits some)");
-    require(victim.by_name("gold").slo_attainment >= 0.99,
-            "victim gold SLO attainment below 99%");
-    require(victim.by_name("silver").slo_attainment >= 0.99,
-            "victim silver SLO attainment below 99%");
-    require(clean.by_name("gold").slo_attainment >= 0.99,
-            "clean gold SLO attainment below 99%");
-    require(fairness > 0 && fairness <= 1.5,
-            "victim gold p99 exceeds 1.5x its solo baseline");
-    require(deterministic,
-            "same-seed runs diverged on admission counters");
-
-    std::printf("fleet SLO soak: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    gates.Require(hostile.counters.shed_bucket > 0,
+                  "hostile flood not shed by its token bucket");
+    gates.Require(hostile.counters.breaker_trips > 0,
+                  "hostile retry storm never tripped the breaker");
+    gates.Require(hostile.counters.shed_breaker > 0,
+                  "breaker tripped but shed nothing");
+    gates.Require(hostile.answered > 0,
+                  "hostile tenant starved outright (contract admits "
+                  "some)");
+    gates.Require(victim.by_name("gold").slo_attainment >= 0.99,
+                  "victim gold SLO attainment below 99%");
+    gates.Require(victim.by_name("silver").slo_attainment >= 0.99,
+                  "victim silver SLO attainment below 99%");
+    gates.Require(clean.by_name("gold").slo_attainment >= 0.99,
+                  "clean gold SLO attainment below 99%");
+    gates.Require(fairness > 0 && fairness <= 1.5,
+                  "victim gold p99 exceeds 1.5x its solo baseline");
+    gates.Require(deterministic,
+                  "same-seed runs diverged on admission counters");
+    return gates.Report("fleet SLO soak");
 }

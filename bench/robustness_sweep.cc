@@ -18,7 +18,9 @@
  * each rate f: accelerator units die mid-job with probability f (and
  * stall with probability f/2), and every frame crossing the channel is
  * dropped / truncated / corrupted with probability f/3 each.
- * Availability = calls answered OK / calls issued. Acceptance bar:
+ * Availability = calls answered OK / calls issued; an OK answer must
+ * also echo its request's text, and any that does not is a wrong
+ * response. Acceptance bar: zero wrong responses at every rate, and
  * >= 99% availability at f = 1% with the software fallback actually
  * absorbing device faults (nonzero counters).
  *
@@ -26,14 +28,12 @@
  *        --calls=N  (availability calls per rate, default 2000)
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/bench_common.h"
-#include "proto/schema_parser.h"
+#include "harness/soak.h"
 #include "rpc/rpc.h"
 #include "sim/fault.h"
 
@@ -46,33 +46,6 @@ using robustness::RandomSchemaRig;
 using robustness::TriVerdict;
 
 namespace {
-
-struct Options
-{
-    uint64_t inputs = 100'000;
-    uint32_t calls = 2'000;
-};
-
-Options
-ParseOptions(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--inputs=", 0) == 0)
-            opt.inputs = std::strtoull(arg.c_str() + 9, nullptr, 10);
-        else if (arg.rfind("--calls=", 0) == 0)
-            opt.calls = static_cast<uint32_t>(
-                std::strtoul(arg.c_str() + 8, nullptr, 10));
-        else {
-            std::fprintf(stderr,
-                         "usage: robustness_sweep [--inputs=N] "
-                         "[--calls=N]\n");
-            std::exit(1);
-        }
-    }
-    return opt;
-}
 
 // ---------------------------------------------------------------------
 // Part 1: differential fuzz sweep.
@@ -182,6 +155,8 @@ struct AvailabilityRow
     double fault_rate = 0;
     uint32_t calls = 0;
     uint32_t ok = 0;
+    /// OK answers whose text did not echo the request.
+    uint64_t wrong_responses = 0;
     uint64_t retries = 0;
     uint64_t fallback_accel_fault = 0;
     uint64_t unit_kills = 0;
@@ -199,9 +174,10 @@ struct AvailabilityRow
 };
 
 AvailabilityRow
-RunAvailability(const DescriptorPool &pool, int req, int rsp,
-                double rate, uint32_t calls)
+RunAvailability(const harness::EchoSchema &echo, double rate,
+                uint32_t calls)
 {
+    const DescriptorPool &pool = echo.pool;
     // Server: hybrid backend whose accelerator half suffers unit kills
     // and stalls at the injected rate. The device has its own injector
     // so device decisions do not perturb the channel's draw sequence.
@@ -221,15 +197,7 @@ RunAvailability(const DescriptorPool &pool, int req, int rsp,
     rpc::HybridCodecBackend *server_backend = hybrid.get();
 
     rpc::RpcServer server(&pool, std::move(hybrid));
-    const auto &rd = pool.message(req);
-    const auto &sd = pool.message(rsp);
-    server.RegisterMethod(
-        1, req, rsp,
-        [&rd, &sd](const Message &request, Message response) {
-            response.SetString(
-                *sd.FindFieldByName("text"),
-                request.GetString(*rd.FindFieldByName("text")));
-        });
+    server.RegisterMethod(1, echo.request, echo.response, echo.Handler());
 
     // Channel: frames dropped / truncated / corrupted at rate/3 each.
     sim::FaultConfig channel_config;
@@ -256,12 +224,17 @@ RunAvailability(const DescriptorPool &pool, int req, int rsp,
     call_ns.reserve(calls);
     for (uint32_t i = 0; i < calls; ++i) {
         arena.Reset();
-        Message request = Message::Create(&arena, pool, req);
-        request.SetString(*rd.FindFieldByName("text"),
-                          "echo-" + std::to_string(i));
-        Message response = Message::Create(&arena, pool, rsp);
+        Message request = Message::Create(&arena, pool, echo.request);
+        const std::string text = "echo-" + std::to_string(i);
+        request.SetString(*echo.request_text, text);
+        Message response = Message::Create(&arena, pool, echo.response);
         const double before = session.breakdown().total_ns();
-        row.ok += StatusOk(session.Call(1, request, &response));
+        if (StatusOk(session.Call(1, request, &response))) {
+            if (response.GetString(*echo.response_text) == text)
+                ++row.ok;
+            else
+                ++row.wrong_responses;
+        }
         call_ns.push_back(session.breakdown().total_ns() - before);
     }
     row.p50_us = harness::ExactPercentile(call_ns, 50) / 1000.0;
@@ -282,7 +255,12 @@ RunAvailability(const DescriptorPool &pool, int req, int rsp,
 int
 main(int argc, char **argv)
 {
-    const Options opt = ParseOptions(argc, argv);
+    uint64_t inputs = 100'000;
+    uint32_t calls = 2'000;
+    harness::FlagParser flags("robustness_sweep");
+    flags.Add("inputs", "N", &inputs);
+    flags.Add("calls", "N", &calls);
+    flags.Parse(argc, argv);
 
     std::printf(
         "Robustness sweep\n"
@@ -291,9 +269,9 @@ main(int argc, char **argv)
         "reference / table / generated / accelerator engines\n"
         "  (mutated valid wires, truncations, pure garbage; invariant: "
         "no crash, identical accept/reject verdicts)\n\n",
-        static_cast<unsigned long long>(opt.inputs));
+        static_cast<unsigned long long>(inputs));
 
-    const FuzzTotals fuzz = RunDifferentialSweep(opt.inputs);
+    const FuzzTotals fuzz = RunDifferentialSweep(inputs);
     std::printf("  inputs        %10llu  (mutated %llu, truncated "
                 "%llu, garbage %llu)\n"
                 "  accepted      %10llu  (%.1f%%)\n"
@@ -318,40 +296,34 @@ main(int argc, char **argv)
         return 1;
     }
 
-    DescriptorPool pool;
-    const auto parsed = proto::ParseSchema(R"(
-        message EchoRequest { optional string text = 1; }
-        message EchoResponse { optional string text = 1; }
-    )",
-                                           &pool);
-    PA_CHECK(parsed.ok);
-    pool.Compile(proto::HasbitsMode::kSparse);
-    const int req = pool.FindMessage("EchoRequest");
-    const int rsp = pool.FindMessage("EchoResponse");
-
+    const harness::EchoSchema echo;
     std::printf(
         "Part 2: availability under injected faults — %u echo calls "
         "per rate, hybrid server backend\n"
         "  (unit kills at rate f + stalls at f/2 on the device; frames "
         "drop/truncate/corrupt at f/3 each; client retries transient "
         "failures, 4 attempts max)\n\n",
-        opt.calls);
-    std::printf("  %10s %12s %8s %10s %12s %12s %9s %9s\n",
-                "fault-rate", "availability", "retries", "unit-kills",
-                "sw-fallback", "frames-lost", "p50(us)", "p99(us)");
+        calls);
+    std::printf("  %10s %12s %6s %8s %10s %12s %12s %9s %9s\n",
+                "fault-rate", "availability", "wrong", "retries",
+                "unit-kills", "sw-fallback", "frames-lost", "p50(us)",
+                "p99(us)");
     bool met_bar = true;
+    harness::Gates gates;
     for (const double rate : {0.0, 0.001, 0.01, 0.05, 0.10}) {
-        const AvailabilityRow row =
-            RunAvailability(pool, req, rsp, rate, opt.calls);
-        std::printf("  %9.1f%% %11.2f%% %8llu %10llu %12llu %12llu "
+        const AvailabilityRow row = RunAvailability(echo, rate, calls);
+        std::printf("  %9.1f%% %11.2f%% %6llu %8llu %10llu %12llu %12llu "
                     "%9.1f %9.1f\n",
                     100.0 * rate, 100.0 * row.availability(),
+                    static_cast<unsigned long long>(row.wrong_responses),
                     static_cast<unsigned long long>(row.retries),
                     static_cast<unsigned long long>(row.unit_kills),
                     static_cast<unsigned long long>(
                         row.fallback_accel_fault),
                     static_cast<unsigned long long>(row.frames_lost),
                     row.p50_us, row.p99_us);
+        gates.Require(row.wrong_responses == 0,
+                      "an OK answer did not echo its request");
         if (rate == 0.01 &&
             (row.availability() < 0.99 ||
              row.fallback_accel_fault == 0))
@@ -361,5 +333,6 @@ main(int argc, char **argv)
         "\n  acceptance bar: availability >= 99%% at 1%% fault rate "
         "with nonzero software fallbacks — %s\n",
         met_bar ? "MET" : "NOT MET");
-    return met_bar ? 0 : 1;
+    gates.Require(met_bar, "availability acceptance bar not met");
+    return gates.Report("robustness sweep");
 }

@@ -10,9 +10,8 @@
  * network, e.g. --latency-us=2 --gbps=400 for a tighter fabric.
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "harness/soak.h"
 #include "proto/schema_parser.h"
 #include "rpc/rpc.h"
 
@@ -76,19 +75,10 @@ main(int argc, char **argv)
 {
     double latency_us = 10;
     double gbps = 100;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--latency-us=", 13) == 0)
-            latency_us = std::strtod(arg + 13, nullptr);
-        else if (std::strncmp(arg, "--gbps=", 7) == 0)
-            gbps = std::strtod(arg + 7, nullptr);
-        else {
-            std::fprintf(stderr,
-                         "usage: rpc_end_to_end [--latency-us=F] "
-                         "[--gbps=F]\n");
-            return 1;
-        }
-    }
+    harness::FlagParser flags("rpc_end_to_end");
+    flags.Add("latency-us", "F", &latency_us);
+    flags.Add("gbps", "F", &gbps);
+    flags.Parse(argc, argv);
     PA_CHECK_GT(gbps, 0.0);
     SimulatedChannel channel;
     channel.latency_ns = latency_us * 1000.0;

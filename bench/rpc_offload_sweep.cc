@@ -31,14 +31,12 @@
  * Flags: --calls=N --threads=a,b,c --batches=a,b,c --payloads=a,b,c
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/bench_common.h"
-#include "proto/schema_parser.h"
+#include "harness/soak.h"
 #include "rpc/server_runtime.h"
 
 using namespace protoacc;
@@ -76,43 +74,16 @@ struct Options
     std::vector<uint32_t> payloads = {16, 64, 256, 1024, 4096};
 };
 
-std::vector<uint32_t>
-ParseList(const char *s)
-{
-    std::vector<uint32_t> out;
-    for (const char *p = s; *p != '\0';) {
-        out.push_back(static_cast<uint32_t>(std::strtoul(p, nullptr, 10)));
-        const char *comma = std::strchr(p, ',');
-        if (comma == nullptr)
-            break;
-        p = comma + 1;
-    }
-    return out;
-}
-
 Options
 ParseOptions(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--calls=", 0) == 0)
-            opt.calls = static_cast<uint32_t>(
-                std::strtoul(arg.c_str() + 8, nullptr, 10));
-        else if (arg.rfind("--threads=", 0) == 0)
-            opt.threads = ParseList(arg.c_str() + 10);
-        else if (arg.rfind("--batches=", 0) == 0)
-            opt.batches = ParseList(arg.c_str() + 10);
-        else if (arg.rfind("--payloads=", 0) == 0)
-            opt.payloads = ParseList(arg.c_str() + 11);
-        else {
-            std::fprintf(stderr,
-                         "usage: rpc_offload_sweep [--calls=N] "
-                         "[--threads=a,b,c] [--batches=a,b,c] "
-                         "[--payloads=a,b,c]\n");
-            std::exit(1);
-        }
-    }
+    harness::FlagParser flags("rpc_offload_sweep");
+    flags.Add("calls", "N", &opt.calls);
+    flags.Add("threads", "a,b,c", &opt.threads);
+    flags.Add("batches", "a,b,c", &opt.batches);
+    flags.Add("payloads", "a,b,c", &opt.payloads);
+    flags.Parse(argc, argv);
     return opt;
 }
 
@@ -131,10 +102,10 @@ struct RunResult
 };
 
 RunResult
-RunOne(const DescriptorPool &pool, int req, int rsp, System system,
-       uint32_t workers, uint32_t batch, uint32_t payload,
-       bool dedup, uint32_t calls)
+RunOne(const harness::EchoSchema &echo, System system, uint32_t workers,
+       uint32_t batch, uint32_t payload, bool dedup, uint32_t calls)
 {
+    const DescriptorPool &pool = echo.pool;
     accel::SharedQueueConfig queue_config;
     if (system == System::kOffloadPcie)
         queue_config.transfer.placement = accel::Placement::kPCIe;
@@ -171,19 +142,12 @@ RunOne(const DescriptorPool &pool, int req, int rsp, System system,
     }
 
     RpcServerRuntime runtime(&pool, factory, config);
-    const auto &rd = pool.message(req);
-    const auto &sd = pool.message(rsp);
-    runtime.RegisterMethod(
-        1, req, rsp,
-        [&rd, &sd](const Message &request, Message response) {
-            response.SetString(
-                *sd.FindFieldByName("text"),
-                request.GetString(*rd.FindFieldByName("text")));
-        });
+    runtime.RegisterMethod(1, echo.request, echo.response,
+                           echo.Handler());
 
     proto::Arena arena;
-    Message request = Message::Create(&arena, pool, req);
-    request.SetString(*rd.FindFieldByName("text"),
+    Message request = Message::Create(&arena, pool, echo.request);
+    request.SetString(*echo.request_text,
                       std::string(payload, 'x'));
     const std::vector<uint8_t> wire = proto::Serialize(request, nullptr);
     FrameHeader header;
@@ -255,16 +219,7 @@ main(int argc, char **argv)
 {
     const Options opt = ParseOptions(argc, argv);
 
-    DescriptorPool pool;
-    const auto parsed = ParseSchema(R"(
-        message EchoRequest { optional string text = 1; }
-        message EchoResponse { optional string text = 1; }
-    )",
-                                    &pool);
-    PA_CHECK(parsed.ok);
-    pool.Compile(proto::HasbitsMode::kSparse);
-    const int req = pool.FindMessage("EchoRequest");
-    const int rsp = pool.FindMessage("EchoResponse");
+    const harness::EchoSchema echo;
 
     std::printf(
         "RPC offload datapath sweep: %u echo calls, one shared "
@@ -285,8 +240,8 @@ main(int argc, char **argv)
         for (const uint32_t workers : opt.threads)
             for (const uint32_t batch : opt.batches)
                 PrintRow(system, workers, batch, 64,
-                         RunOne(pool, req, rsp, system, workers, batch,
-                                64, /*dedup=*/false, opt.calls));
+                         RunOne(echo, system, workers, batch, 64,
+                                /*dedup=*/false, opt.calls));
         std::printf("\n");
     }
 
@@ -298,7 +253,7 @@ main(int argc, char **argv)
                                 System::kOffloadPcie}) {
         for (const uint32_t payload : opt.payloads)
             PrintRow(system, 4, 8, payload,
-                     RunOne(pool, req, rsp, system, 4, 8, payload,
+                     RunOne(echo, system, 4, 8, payload,
                             /*dedup=*/true, opt.calls));
         std::printf("\n");
     }

@@ -18,14 +18,12 @@
  * Flags: --calls=N --payload=BYTES --threads=a,b,c --batches=a,b,c
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <chrono>
 #include <string>
 #include <vector>
 
 #include "harness/bench_common.h"
-#include "proto/schema_parser.h"
+#include "harness/soak.h"
 #include "rpc/server_runtime.h"
 
 using namespace protoacc;
@@ -43,43 +41,16 @@ struct Options
     std::vector<uint32_t> batches = {1, 8, 32};
 };
 
-std::vector<uint32_t>
-ParseList(const char *s)
-{
-    std::vector<uint32_t> out;
-    for (const char *p = s; *p != '\0';) {
-        out.push_back(static_cast<uint32_t>(std::strtoul(p, nullptr, 10)));
-        const char *comma = std::strchr(p, ',');
-        if (comma == nullptr)
-            break;
-        p = comma + 1;
-    }
-    return out;
-}
-
 Options
 ParseOptions(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--calls=", 0) == 0)
-            opt.calls = static_cast<uint32_t>(
-                std::strtoul(arg.c_str() + 8, nullptr, 10));
-        else if (arg.rfind("--payload=", 0) == 0)
-            opt.payload = std::strtoul(arg.c_str() + 10, nullptr, 10);
-        else if (arg.rfind("--threads=", 0) == 0)
-            opt.threads = ParseList(arg.c_str() + 10);
-        else if (arg.rfind("--batches=", 0) == 0)
-            opt.batches = ParseList(arg.c_str() + 10);
-        else {
-            std::fprintf(stderr,
-                         "usage: rpc_throughput [--calls=N] "
-                         "[--payload=BYTES] [--threads=a,b,c] "
-                         "[--batches=a,b,c]\n");
-            std::exit(1);
-        }
-    }
+    harness::FlagParser flags("rpc_throughput");
+    flags.Add("calls", "N", &opt.calls);
+    flags.Add("payload", "BYTES", &opt.payload);
+    flags.Add("threads", "a,b,c", &opt.threads);
+    flags.Add("batches", "a,b,c", &opt.batches);
+    flags.Parse(argc, argv);
     return opt;
 }
 
@@ -94,10 +65,10 @@ struct RunResult
 };
 
 RunResult
-RunOne(const DescriptorPool &pool, int req, int rsp,
-       const std::string &system, uint32_t workers, uint32_t batch,
-       const Options &opt)
+RunOne(const harness::EchoSchema &echo, const std::string &system,
+       uint32_t workers, uint32_t batch, const Options &opt)
 {
+    const DescriptorPool &pool = echo.pool;
     accel::SharedAccelQueue accel_queue;  // one shared device
     RuntimeConfig config;
     config.num_workers = workers;
@@ -128,21 +99,12 @@ RunOne(const DescriptorPool &pool, int req, int rsp,
     }
 
     RpcServerRuntime runtime(&pool, factory, config);
-    const auto &rd = pool.message(req);
-    const auto &sd = pool.message(rsp);
-    runtime.RegisterMethod(
-        1, req, rsp,
-        [&rd, &sd](const Message &request, Message response) {
-            response.SetString(
-                *sd.FindFieldByName("text"),
-                request.GetString(*rd.FindFieldByName("text")));
-        });
+    runtime.RegisterMethod(1, echo.request, echo.response,
+                           echo.Handler());
 
-    // Pre-serialize the request wire once (client cost is not the
-    // object of this bench).
     proto::Arena arena;
-    Message request = Message::Create(&arena, pool, req);
-    request.SetString(*rd.FindFieldByName("text"),
+    Message request = Message::Create(&arena, pool, echo.request);
+    request.SetString(*echo.request_text,
                       std::string(opt.payload, 'x'));
     const std::vector<uint8_t> wire = proto::Serialize(request, nullptr);
     FrameHeader header;
@@ -191,16 +153,8 @@ main(int argc, char **argv)
 {
     const Options opt = ParseOptions(argc, argv);
 
-    DescriptorPool pool;
-    const auto parsed = ParseSchema(R"(
-        message EchoRequest { optional string text = 1; }
-        message EchoResponse { optional string text = 1; }
-    )",
-                                    &pool);
-    PA_CHECK(parsed.ok);
-    pool.Compile(proto::HasbitsMode::kSparse);
-    const int req = pool.FindMessage("EchoRequest");
-    const int rsp = pool.FindMessage("EchoResponse");
+    const harness::EchoSchema echo;
+    const DescriptorPool &pool = echo.pool;
 
     std::printf(
         "RPC serving throughput: %u echo calls, %zu-byte payload\n"
@@ -224,8 +178,8 @@ main(int argc, char **argv)
         }
         for (const uint32_t workers : opt.threads) {
             for (const uint32_t batch : opt.batches) {
-                const RunResult r = RunOne(pool, req, rsp, system,
-                                           workers, batch, opt);
+                const RunResult r =
+                    RunOne(echo, system, workers, batch, opt);
                 std::printf("  %-14s %7u %6u %14.0f %12.0f %9.2f "
                             "%9.2f %9.2f %10.1f%%\n",
                             system, workers, batch, r.modeled_qps,

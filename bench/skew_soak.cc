@@ -30,24 +30,20 @@
  *        --json=PATH write both phases' counters as JSON
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "accel/accelerator.h"
 #include "gen_pools.h"
 #include "harness/bench_common.h"
-#include "proto/codec_generated.h"
-#include "proto/codec_reference.h"
-#include "proto/parser.h"
+#include "harness/soak.h"
 #include "proto/schema_random.h"
-#include "proto/serializer.h"
 #include "rpc/schema_registry.h"
 #include "rpc/server_runtime.h"
 #include "sim/fault.h"
+
+#include "../tests/robustness/skew_quad_rig.h"
 
 using namespace protoacc;
 using proto::DescriptorPool;
@@ -55,64 +51,9 @@ using proto::Message;
 
 namespace {
 
-struct Options
-{
-    uint64_t wires = 100'000;
-    uint64_t calls = 1'200;
-    uint64_t seed = 0x5EED;
-    std::string json_path;
-};
-
-Options
-ParseOptions(int argc, char **argv)
-{
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--wires=", 0) == 0)
-            opt.wires = std::strtoull(arg.c_str() + 8, nullptr, 10);
-        else if (arg.rfind("--calls=", 0) == 0)
-            opt.calls = std::strtoull(arg.c_str() + 8, nullptr, 10);
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg.rfind("--json=", 0) == 0)
-            opt.json_path = arg.substr(7);
-        else {
-            std::fprintf(stderr,
-                         "usage: skew_soak [--wires=N] [--calls=N] "
-                         "[--seed=S] [--json=PATH]\n");
-            std::exit(1);
-        }
-    }
-    return opt;
-}
-
 // ---------------------------------------------------------------------
 // Phase 1: cross-version quad-engine differential sweep
 // ---------------------------------------------------------------------
-
-/// One skew-pool version wired to all four engines as the decoder.
-struct EngineRig
-{
-    explicit EngineRig(int version)
-        : np(genpools::BuildSkewPool(version)),
-          memory(sim::MemorySystemConfig{}),
-          accel(&memory, accel::AccelConfig{}),
-          adts(std::make_unique<accel::AdtBuilder>(*np.pool, &adt_arena))
-    {
-        accel.DeserAssignArena(&deser_arena);
-        accel.SerAssignArena(&ser_arena);
-    }
-
-    genpools::NamedPool np;
-    proto::Arena adt_arena;
-    proto::Arena deser_arena;
-    accel::SerArena ser_arena;
-    sim::MemorySystem memory;
-    accel::ProtoAccelerator accel;
-    std::unique_ptr<accel::AdtBuilder> adts;
-    uint32_t ser_jobs = 0;
-};
 
 struct SweepResult
 {
@@ -144,70 +85,23 @@ NoteFailure(SweepResult *r, uint64_t SweepResult::*counter,
 /// count every cross-engine disagreement into @p result. When
 /// @p expect_identity, the re-serialized bytes must equal @p wire.
 void
-QuadCheck(EngineRig *rig, const std::vector<uint8_t> &wire,
+QuadCheck(robustness::SkewQuadRig *rig, const std::vector<uint8_t> &wire,
           bool expect_identity, const std::string &ctx,
           SweepResult *result)
 {
-    const DescriptorPool &pool = *rig->np.pool;
-    const int root = rig->np.root;
-    proto::Arena arena;
     ++result->wires;
-
-    Message ref_dest = Message::Create(&arena, pool, root);
-    Message tab_dest = Message::Create(&arena, pool, root);
-    Message gen_dest = Message::Create(&arena, pool, root);
-    Message acc_dest = Message::Create(&arena, pool, root);
-
-    const StatusCode ref_st = proto::ToStatusCode(
-        proto::ReferenceParseFromBuffer(wire.data(), wire.size(),
-                                        &ref_dest, nullptr, nullptr));
-    const StatusCode tab_st = proto::ToStatusCode(proto::ParseFromBuffer(
-        wire.data(), wire.size(), &tab_dest, nullptr, nullptr));
-    const StatusCode gen_st = proto::ToStatusCode(
-        proto::GeneratedParseFromBuffer(wire.data(), wire.size(),
-                                        &gen_dest, nullptr, nullptr));
-    rig->accel.EnqueueDeser(accel::MakeDeserJob(*rig->adts, root, pool,
-                                                acc_dest.raw(),
-                                                wire.data(),
-                                                wire.size()));
-    uint64_t cycles = 0;
-    const StatusCode acc_st =
-        accel::ToStatusCode(rig->accel.BlockForDeserCompletion(&cycles));
-
-    if (StatusOk(ref_st) != StatusOk(tab_st) ||
-        StatusOk(tab_st) != StatusOk(gen_st) ||
-        StatusOk(tab_st) != StatusOk(acc_st)) {
+    const robustness::QuadResult r = robustness::QuadRoundTrip(rig, wire);
+    if (!r.verdicts_agree() || (r.accepted() && !r.accel_ser_ok)) {
         NoteFailure(result, &SweepResult::verdict_disagreements, ctx);
         return;
     }
-    if (!StatusOk(tab_st))
+    if (!r.accepted())
         return;  // agreed rejection: nothing further to compare
-
-    if (!MessagesEqual(ref_dest, tab_dest) ||
-        !MessagesEqual(tab_dest, gen_dest) ||
-        !MessagesEqual(tab_dest, acc_dest))
+    if (!r.messages_equal)
         NoteFailure(result, &SweepResult::message_mismatches, ctx);
-
-    const std::vector<uint8_t> ref_out =
-        proto::ReferenceSerialize(ref_dest, nullptr);
-    const std::vector<uint8_t> tab_out =
-        proto::Serialize(tab_dest, nullptr);
-    const std::vector<uint8_t> gen_out =
-        proto::GeneratedSerialize(gen_dest, nullptr);
-    rig->accel.EnqueueSer(
-        accel::MakeSerJob(*rig->adts, root, pool, acc_dest.raw()));
-    if (rig->accel.BlockForSerCompletion(&cycles) !=
-        accel::AccelStatus::kOk) {
-        NoteFailure(result, &SweepResult::verdict_disagreements, ctx);
-        return;
-    }
-    const auto &acc_raw = rig->ser_arena.output(rig->ser_jobs++);
-    const std::vector<uint8_t> acc_out(acc_raw.data,
-                                       acc_raw.data + acc_raw.size);
-
-    if (ref_out != tab_out || gen_out != tab_out || acc_out != tab_out)
+    if (!r.bytes_agree())
         NoteFailure(result, &SweepResult::engine_byte_mismatches, ctx);
-    if (expect_identity && tab_out != wire)
+    if (expect_identity && r.table_out != wire)
         NoteFailure(result, &SweepResult::roundtrip_mismatches, ctx);
 }
 
@@ -217,7 +111,7 @@ RunSweep(uint64_t total_wires, uint64_t seed)
     SweepResult result;
     const uint64_t per_pair = (total_wires + 8) / 9;
     for (int decode = 0; decode <= 2; ++decode) {
-        EngineRig rig(decode);
+        robustness::SkewQuadRig rig(decode);
         for (int encode = 0; encode <= 2; ++encode) {
             genpools::NamedPool enc = genpools::BuildSkewPool(encode);
             // The only lossy pair: v1's int64 count read as v2's int32
@@ -259,17 +153,15 @@ constexpr uint64_t kTableBytes = 4096;
 /// Round after which the operator registers v_{N+1}: earlier rounds
 /// reject its canary clients with kFailedPrecondition.
 constexpr uint32_t kRegisterRound = 2;
+/// Call i travels with idempotency key kFirstKey + i.
+constexpr uint64_t kFirstKey = (1ull << 32) | 1;
 
 struct SoakResult
 {
     uint64_t calls = 0;
     uint64_t rounds = 0;
     uint64_t attempts = 0;
-    uint64_t answered = 0;
-    uint64_t wrong_responses = 0;
-    uint64_t unknown_responses = 0;
-    uint64_t lost_calls = 0;
-    uint64_t duplicate_execs = 0;
+    harness::Verdict verdict;
     uint64_t schema_reject_replies = 0;
     uint64_t other_error_replies = 0;
     uint64_t client_reply_drops = 0;
@@ -297,9 +189,8 @@ struct SoakResult
     Fingerprint() const
     {
         return std::make_tuple(
-            calls, rounds, attempts, answered, wrong_responses,
-            unknown_responses, lost_calls, duplicate_execs,
-            schema_reject_replies, other_error_replies,
+            calls, rounds, attempts, verdict, schema_reject_replies,
+            other_error_replies,
             client_reply_drops, dedup_hits, dedup_insertions,
             schema_rejects, table_swaps, table_loads_committed,
             table_loads_aborted, table_load_cycles,
@@ -334,8 +225,7 @@ RunServingSoak(uint64_t seed, uint64_t calls)
     const auto *f_id = sd.FindFieldByName("id");
     const auto *f_name = sd.FindFieldByName("name");
 
-    std::unique_ptr<std::atomic<uint32_t>[]> execs(
-        new std::atomic<uint32_t>[calls]());
+    harness::ExecLedger ledger(calls);
 
     accel::SharedQueueConfig queue_config;
     queue_config.num_units = kUnits;
@@ -369,16 +259,10 @@ RunServingSoak(uint64_t seed, uint64_t calls)
     runtime.RegisterMethod(
         kMethod, root, root,
         [&](const Message &request, Message response) {
-            const std::string text(request.GetString(*f_name));
-            if (text.rfind("call-", 0) == 0) {
-                const uint64_t idx =
-                    std::strtoull(text.c_str() + 5, nullptr, 10);
-                if (idx < calls)
-                    execs[idx].fetch_add(1, std::memory_order_relaxed);
-            }
             response.SetUint64(*f_id, request.GetUint64(*f_id));
-            response.SetString(*f_name, text);
+            response.SetString(*f_name, request.GetString(*f_name));
         });
+    ledger.Observe(&runtime, kFirstKey);
     runtime.Start();
 
     // Per-version clients: each serializes requests and parses replies
@@ -391,12 +275,11 @@ RunServingSoak(uint64_t seed, uint64_t calls)
 
     proto::Arena client_arena;
     Rng reply_drop_rng(seed + 9);
-    std::vector<bool> answered(calls, false);
+    harness::AnswerBook book(calls);
+    harness::ReplyHarvester harvester;
     std::vector<bool> reply_dropped(calls, false);
-    std::vector<size_t> reply_offset(kWorkers, 0);
-    uint64_t unanswered = calls;
 
-    for (uint32_t round = 0; round < kMaxRounds && unanswered > 0;
+    for (uint32_t round = 0; round < kMaxRounds && book.unanswered() > 0;
          ++round) {
         ++result.rounds;
 
@@ -428,7 +311,7 @@ RunServingSoak(uint64_t seed, uint64_t calls)
             registry.Register(*pools[2].pool, "skew-v2");
 
         for (uint64_t i = 0; i < calls; ++i) {
-            if (answered[i])
+            if (book.answered(i))
                 continue;
             ++result.attempts;
             const int v = static_cast<int>(i % 3);
@@ -461,7 +344,7 @@ RunServingSoak(uint64_t seed, uint64_t calls)
             header.call_id = static_cast<uint32_t>(i + 1);
             header.method_id = kMethod;
             header.kind = rpc::FrameKind::kRequest;
-            header.idempotency_key = (1ull << 32) | (i + 1);
+            header.idempotency_key = kFirstKey + i;
             header.schema_fp = fp[v];
             wire.Append(header, payload.data());
 
@@ -472,62 +355,41 @@ RunServingSoak(uint64_t seed, uint64_t calls)
 
         runtime.Drain();
 
-        for (uint32_t w = 0; w < kWorkers; ++w) {
-            const rpc::FrameBuffer &rb = runtime.replies(w);
-            size_t &off = reply_offset[w];
-            for (;;) {
-                StatusCode err = StatusCode::kOk;
-                const std::optional<rpc::Frame> f = rb.Next(&off, &err);
-                if (!f.has_value()) {
-                    if (err == StatusCode::kOk)
-                        break;
-                    continue;
-                }
-                if (f->header.kind == rpc::FrameKind::kError) {
-                    // The negotiation rejection: structured, stamped
-                    // with the server's fingerprint, and the call stays
-                    // unanswered until the version is registered.
-                    if (f->header.status ==
-                        StatusCode::kFailedPrecondition)
-                        ++result.schema_reject_replies;
-                    else
-                        ++result.other_error_replies;
-                    continue;
-                }
-                const uint64_t idx = f->header.call_id - 1;
-                if (f->header.kind != rpc::FrameKind::kResponse ||
-                    idx >= calls || answered[idx]) {
-                    ++result.unknown_responses;
-                    continue;
-                }
-                if (!reply_dropped[idx] &&
-                    reply_drop_rng.NextBool(0.05)) {
-                    // Seeded client-side reply loss: the retry must be
-                    // served from the dedup cache, not re-executed.
-                    reply_dropped[idx] = true;
-                    ++result.client_reply_drops;
-                    continue;
-                }
-                const int v = static_cast<int>(idx % 3);
-                client_arena.Reset();
-                Message response = Message::Create(
-                    &client_arena, *pools[v].pool, pools[v].root);
-                const StatusCode parse = clients[v]->Deserialize(
-                    f->payload, f->header.payload_bytes, &response);
-                const auto &cd = pools[v].pool->message(pools[v].root);
-                const std::string expect =
-                    "call-" + std::to_string(idx);
-                if (!StatusOk(parse) ||
-                    std::string(response.GetString(
-                        *cd.FindFieldByName("name"))) != expect ||
-                    response.GetUint64(*cd.FindFieldByName("id")) !=
-                        idx)
-                    ++result.wrong_responses;
-                answered[idx] = true;
-                --unanswered;
-                ++result.answered;
+        harvester.Harvest(runtime, [&](const rpc::Frame &f) {
+            if (f.header.kind == rpc::FrameKind::kError) {
+                // The negotiation rejection: structured, stamped with
+                // the server's fingerprint, and the call stays
+                // unanswered until the version is registered.
+                if (f.header.status == StatusCode::kFailedPrecondition)
+                    ++result.schema_reject_replies;
+                else
+                    ++result.other_error_replies;
+                return;
             }
-        }
+            const int64_t idx = book.Claim(f);
+            if (idx < 0)
+                return;
+            if (!reply_dropped[idx] && reply_drop_rng.NextBool(0.05)) {
+                // Seeded client-side reply loss: the retry must be
+                // served from the dedup cache, not re-executed.
+                reply_dropped[idx] = true;
+                ++result.client_reply_drops;
+                return;
+            }
+            const int v = static_cast<int>(idx % 3);
+            client_arena.Reset();
+            Message response = Message::Create(
+                &client_arena, *pools[v].pool, pools[v].root);
+            const StatusCode parse = clients[v]->Deserialize(
+                f.payload, f.header.payload_bytes, &response);
+            const auto &cd = pools[v].pool->message(pools[v].root);
+            book.Answer(
+                idx, StatusOk(parse) &&
+                         response.GetString(*cd.FindFieldByName("name")) ==
+                             "call-" + std::to_string(idx) &&
+                         response.GetUint64(*cd.FindFieldByName("id")) ==
+                             static_cast<uint64_t>(idx));
+        });
     }
 
     const rpc::RuntimeSnapshot snap = runtime.Snapshot();
@@ -536,15 +398,8 @@ RunServingSoak(uint64_t seed, uint64_t calls)
     result.p99_us = harness::ExactPercentile(lat, 99) / 1000.0;
     runtime.Shutdown();
 
-    result.lost_calls = unanswered;
-    uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
-    for (uint64_t i = 0; i < calls; ++i) {
-        const uint32_t n = execs[i].load(std::memory_order_relaxed);
-        if (n > 1)
-            result.duplicate_execs += n - 1;
-        digest = (digest ^ n) * 1099511628211ull;
-    }
-    result.exec_digest = digest;
+    result.verdict = book.verdict(ledger);
+    result.exec_digest = ledger.digest();
     result.dedup_hits = snap.dedup_hits;
     result.dedup_insertions = snap.dedup_insertions;
     result.schema_rejects = snap.schema_rejects;
@@ -563,130 +418,42 @@ RunServingSoak(uint64_t seed, uint64_t calls)
 // Reporting
 // ---------------------------------------------------------------------
 
-void
-PrintSweep(const SweepResult &r)
+harness::JsonWriter
+ToJson(const SweepResult &sweep, const SoakResult &r, bool deterministic)
 {
-    std::printf(
-        "Phase 1 — cross-version quad-engine differential\n"
-        "  wires %llu (9 ordered version pairs)\n"
-        "  verdict disagreements %llu  message mismatches %llu\n"
-        "  engine byte mismatches %llu  round-trip mismatches %llu\n",
-        static_cast<unsigned long long>(r.wires),
-        static_cast<unsigned long long>(r.verdict_disagreements),
-        static_cast<unsigned long long>(r.message_mismatches),
-        static_cast<unsigned long long>(r.engine_byte_mismatches),
-        static_cast<unsigned long long>(r.roundtrip_mismatches));
-    if (!r.first_failure.empty())
-        std::printf("  first failure: %s\n", r.first_failure.c_str());
-    std::printf("\n");
-}
-
-void
-PrintSoak(const char *title, const SoakResult &r)
-{
-    std::printf(
-        "%s\n"
-        "  calls %llu  rounds %llu  attempts %llu  answered %llu\n"
-        "  negotiation: schema-rejects (server) %llu  reject replies "
-        "(client) %llu\n"
-        "  table swaps %llu  loads committed %llu  aborted %llu  "
-        "load-cycles %llu  reintegrations %llu\n"
-        "  epoch %llu  available units %u  stale-epoch dispatches "
-        "%llu\n"
-        "  exactly-once: wrong %llu  unknown %llu  lost %llu  "
-        "dup-execs %llu  dedup-hits %llu  reply-drops %llu\n"
-        "  modeled latency: p50 %.1f us  p99 %.1f us\n\n",
-        title, static_cast<unsigned long long>(r.calls),
-        static_cast<unsigned long long>(r.rounds),
-        static_cast<unsigned long long>(r.attempts),
-        static_cast<unsigned long long>(r.answered),
-        static_cast<unsigned long long>(r.schema_rejects),
-        static_cast<unsigned long long>(r.schema_reject_replies),
-        static_cast<unsigned long long>(r.table_swaps),
-        static_cast<unsigned long long>(r.table_loads_committed),
-        static_cast<unsigned long long>(r.table_loads_aborted),
-        static_cast<unsigned long long>(r.table_load_cycles),
-        static_cast<unsigned long long>(r.retry_reintegrations),
-        static_cast<unsigned long long>(r.final_epoch),
-        r.available_units,
-        static_cast<unsigned long long>(r.stale_epoch_dispatches),
-        static_cast<unsigned long long>(r.wrong_responses),
-        static_cast<unsigned long long>(r.unknown_responses),
-        static_cast<unsigned long long>(r.lost_calls),
-        static_cast<unsigned long long>(r.duplicate_execs),
-        static_cast<unsigned long long>(r.dedup_hits),
-        static_cast<unsigned long long>(r.client_reply_drops),
-        r.p50_us, r.p99_us);
-}
-
-void
-WriteJson(std::FILE *f, const SweepResult &sweep, const SoakResult &r,
-          bool deterministic)
-{
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"sweep\": {\n"
-        "    \"wires\": %llu,\n"
-        "    \"verdict_disagreements\": %llu,\n"
-        "    \"message_mismatches\": %llu,\n"
-        "    \"engine_byte_mismatches\": %llu,\n"
-        "    \"roundtrip_mismatches\": %llu\n"
-        "  },\n"
-        "  \"soak\": {\n"
-        "    \"calls\": %llu,\n"
-        "    \"rounds\": %llu,\n"
-        "    \"attempts\": %llu,\n"
-        "    \"answered\": %llu,\n"
-        "    \"wrong_responses\": %llu,\n"
-        "    \"unknown_responses\": %llu,\n"
-        "    \"lost_calls\": %llu,\n"
-        "    \"duplicate_execs\": %llu,\n"
-        "    \"schema_rejects\": %llu,\n"
-        "    \"schema_reject_replies\": %llu,\n"
-        "    \"client_reply_drops\": %llu,\n"
-        "    \"dedup_hits\": %llu,\n"
-        "    \"dedup_insertions\": %llu,\n"
-        "    \"table_swaps\": %llu,\n"
-        "    \"table_loads_committed\": %llu,\n"
-        "    \"table_loads_aborted\": %llu,\n"
-        "    \"table_load_cycles\": %llu,\n"
-        "    \"retry_reintegrations\": %llu,\n"
-        "    \"final_epoch\": %llu,\n"
-        "    \"available_units\": %u,\n"
-        "    \"stale_epoch_dispatches\": %llu,\n"
-        "    \"p50_us\": %.3f,\n"
-        "    \"p99_us\": %.3f\n"
-        "  },\n"
-        "  \"deterministic_replay\": %s\n"
-        "}\n",
-        static_cast<unsigned long long>(sweep.wires),
-        static_cast<unsigned long long>(sweep.verdict_disagreements),
-        static_cast<unsigned long long>(sweep.message_mismatches),
-        static_cast<unsigned long long>(sweep.engine_byte_mismatches),
-        static_cast<unsigned long long>(sweep.roundtrip_mismatches),
-        static_cast<unsigned long long>(r.calls),
-        static_cast<unsigned long long>(r.rounds),
-        static_cast<unsigned long long>(r.attempts),
-        static_cast<unsigned long long>(r.answered),
-        static_cast<unsigned long long>(r.wrong_responses),
-        static_cast<unsigned long long>(r.unknown_responses),
-        static_cast<unsigned long long>(r.lost_calls),
-        static_cast<unsigned long long>(r.duplicate_execs),
-        static_cast<unsigned long long>(r.schema_rejects),
-        static_cast<unsigned long long>(r.schema_reject_replies),
-        static_cast<unsigned long long>(r.client_reply_drops),
-        static_cast<unsigned long long>(r.dedup_hits),
-        static_cast<unsigned long long>(r.dedup_insertions),
-        static_cast<unsigned long long>(r.table_swaps),
-        static_cast<unsigned long long>(r.table_loads_committed),
-        static_cast<unsigned long long>(r.table_loads_aborted),
-        static_cast<unsigned long long>(r.table_load_cycles),
-        static_cast<unsigned long long>(r.retry_reintegrations),
-        static_cast<unsigned long long>(r.final_epoch),
-        r.available_units,
-        static_cast<unsigned long long>(r.stale_epoch_dispatches),
-        r.p50_us, r.p99_us, deterministic ? "true" : "false");
+    harness::JsonWriter json;
+    json.BeginObject()
+        .BeginObject("sweep")
+        .Uint("wires", sweep.wires)
+        .Uint("verdict_disagreements", sweep.verdict_disagreements)
+        .Uint("message_mismatches", sweep.message_mismatches)
+        .Uint("engine_byte_mismatches", sweep.engine_byte_mismatches)
+        .Uint("roundtrip_mismatches", sweep.roundtrip_mismatches)
+        .EndObject()
+        .BeginObject("soak")
+        .Uint("calls", r.calls)
+        .Uint("rounds", r.rounds)
+        .Uint("attempts", r.attempts);
+    r.verdict.Write(&json);
+    json.Uint("schema_rejects", r.schema_rejects)
+        .Uint("schema_reject_replies", r.schema_reject_replies)
+        .Uint("client_reply_drops", r.client_reply_drops)
+        .Uint("dedup_hits", r.dedup_hits)
+        .Uint("dedup_insertions", r.dedup_insertions)
+        .Uint("table_swaps", r.table_swaps)
+        .Uint("table_loads_committed", r.table_loads_committed)
+        .Uint("table_loads_aborted", r.table_loads_aborted)
+        .Uint("table_load_cycles", r.table_load_cycles)
+        .Uint("retry_reintegrations", r.retry_reintegrations)
+        .Uint("final_epoch", r.final_epoch)
+        .Uint("available_units", r.available_units)
+        .Uint("stale_epoch_dispatches", r.stale_epoch_dispatches)
+        .Num("p50_us", r.p50_us, "%.3f")
+        .Num("p99_us", r.p99_us, "%.3f")
+        .EndObject()
+        .Bool("deterministic_replay", deterministic)
+        .EndObject();
+    return json;
 }
 
 }  // namespace
@@ -694,79 +461,64 @@ WriteJson(std::FILE *f, const SweepResult &sweep, const SoakResult &r,
 int
 main(int argc, char **argv)
 {
-    const Options opt = ParseOptions(argc, argv);
+    uint64_t wires = 100'000;
+    uint64_t calls = 1'200;
+    uint64_t seed = 0x5EED;
+    std::string json_path;
+    harness::FlagParser flags("skew_soak");
+    flags.Add("wires", "N", &wires);
+    flags.Add("calls", "N", &calls);
+    flags.Add("seed", "S", &seed);
+    flags.Add("json", "PATH", &json_path);
+    flags.Parse(argc, argv);
 
     std::printf(
         "Schema-skew soak — %llu wires, %llu calls, seed 0x%llx\n"
         "====================================================\n\n",
-        static_cast<unsigned long long>(opt.wires),
-        static_cast<unsigned long long>(opt.calls),
-        static_cast<unsigned long long>(opt.seed));
+        static_cast<unsigned long long>(wires),
+        static_cast<unsigned long long>(calls),
+        static_cast<unsigned long long>(seed));
 
-    const SweepResult sweep = RunSweep(opt.wires, opt.seed);
-    PrintSweep(sweep);
-
-    const SoakResult soak = RunServingSoak(opt.seed, opt.calls);
-    PrintSoak("Phase 2 — mixed-version serving soak with live table "
-              "swaps",
-              soak);
-
+    const SweepResult sweep = RunSweep(wires, seed);
+    if (!sweep.first_failure.empty())
+        std::printf("sweep: first failure: %s\n",
+                    sweep.first_failure.c_str());
+    const SoakResult soak = RunServingSoak(seed, calls);
     // Same-seed replay: the soak must be a pure function of the seed.
-    const SoakResult replay = RunServingSoak(opt.seed, opt.calls);
+    const SoakResult replay = RunServingSoak(seed, calls);
     const bool deterministic =
         soak.Fingerprint() == replay.Fingerprint();
-    std::printf("replay: same-seed logical counters bit-identical: "
-                "%s\n\n",
-                deterministic ? "yes" : "NO");
 
-    if (!opt.json_path.empty()) {
-        std::FILE *f = std::fopen(opt.json_path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.json_path.c_str());
-            return 1;
-        }
-        WriteJson(f, sweep, soak, deterministic);
-        std::fclose(f);
-        std::printf("wrote %s\n\n", opt.json_path.c_str());
-    }
+    const harness::JsonWriter json = ToJson(sweep, soak, deterministic);
+    std::printf("%s\n", json.str().c_str());
+    if (!json_path.empty() && !json.WriteFile(json_path))
+        return 1;
 
-    bool ok = true;
-    auto require = [&ok](bool cond, const char *what) {
-        if (!cond) {
-            std::fprintf(stderr, "FAIL: %s\n", what);
-            ok = false;
-        }
-    };
-    require(sweep.wires >= opt.wires, "sweep covered every input");
-    require(sweep.total_mismatches() == 0,
-            "cross-version differential: engines disagreed");
-    require(soak.wrong_responses == 0, "soak served a wrong response");
-    require(soak.unknown_responses == 0,
-            "soak produced an unattributable response");
-    require(soak.lost_calls == 0, "soak lost a call");
-    require(soak.duplicate_execs == 0, "soak executed a call twice");
-    require(soak.other_error_replies == 0,
-            "soak produced a non-negotiation error");
-    require(soak.schema_reject_replies > 0,
-            "canary version was never rejected (negotiation not "
-            "exercised)");
-    require(soak.schema_rejects == soak.schema_reject_replies,
-            "server reject counter disagrees with observed error "
-            "frames");
-    require(soak.dedup_hits > 0,
-            "no dedup hits (retry path not exercised)");
-    require(soak.table_swaps == 2, "both table swaps ran");
-    require(soak.table_loads_aborted > 0,
-            "mid-load kill did not fire (quarantine not exercised)");
-    require(soak.retry_reintegrations == 1,
-            "killed unit was not reintegrated via RetryTableLoad");
-    require(soak.available_units == kUnits,
-            "fleet did not return to full strength");
-    require(soak.stale_epoch_dispatches == 0,
-            "a batch dispatched against a stale table epoch");
-    require(deterministic, "same-seed replay bit-identical");
-
-    std::printf("schema-evolution robustness: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    harness::Gates gates;
+    gates.Require(sweep.wires >= wires, "sweep covered every input");
+    gates.Require(sweep.total_mismatches() == 0,
+                  "cross-version differential: engines disagreed");
+    gates.RequireExactlyOnce(soak.verdict, "soak");
+    gates.Require(soak.other_error_replies == 0,
+                  "soak produced a non-negotiation error");
+    gates.Require(soak.schema_reject_replies > 0,
+                  "canary version was never rejected (negotiation not "
+                  "exercised)");
+    gates.Require(soak.schema_rejects == soak.schema_reject_replies,
+                  "server reject counter disagrees with observed error "
+                  "frames");
+    gates.Require(soak.dedup_hits > 0,
+                  "no dedup hits (retry path not exercised)");
+    gates.Require(soak.table_swaps == 2, "both table swaps ran");
+    gates.Require(soak.table_loads_aborted > 0,
+                  "mid-load kill did not fire (quarantine not "
+                  "exercised)");
+    gates.Require(soak.retry_reintegrations == 1,
+                  "killed unit was not reintegrated via RetryTableLoad");
+    gates.Require(soak.available_units == kUnits,
+                  "fleet did not return to full strength");
+    gates.Require(soak.stale_epoch_dispatches == 0,
+                  "a batch dispatched against a stale table epoch");
+    gates.Require(deterministic, "same-seed replay bit-identical");
+    return gates.Report("schema-evolution robustness");
 }

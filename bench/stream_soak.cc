@@ -26,8 +26,6 @@
  */
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -36,6 +34,7 @@
 #include "common/check.h"
 #include "common/crc32c.h"
 #include "cpu/cpu_model.h"
+#include "harness/soak.h"
 #include "proto/schema_parser.h"
 #include "rpc/stream.h"
 #include "sim/fault.h"
@@ -62,32 +61,25 @@ Options
 ParseOptions(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--mib=", 0) == 0)
-            opt.total_bytes = std::strtoull(arg.c_str() + 6, nullptr, 10)
-                              << 20;
-        else if (arg.rfind("--gib=", 0) == 0)
-            opt.total_bytes = std::strtoull(arg.c_str() + 6, nullptr, 10)
-                              << 30;
-        else if (arg.rfind("--budget-mib=", 0) == 0)
-            opt.budget_bytes =
-                std::strtoull(arg.c_str() + 13, nullptr, 10) << 20;
-        else if (arg.rfind("--chunk-kib=", 0) == 0)
-            opt.chunk_bytes = static_cast<uint32_t>(
-                std::strtoul(arg.c_str() + 12, nullptr, 10) << 10);
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg.rfind("--json=", 0) == 0)
-            opt.json_path = arg.substr(7);
-        else {
-            std::fprintf(stderr,
-                         "usage: stream_soak [--gib=N|--mib=N] "
-                         "[--budget-mib=N] [--chunk-kib=N] [--seed=N] "
-                         "[--json=PATH]\n");
-            std::exit(2);
-        }
-    }
+    harness::FlagParser flags("stream_soak");
+    // Sizes are whole units; --mib and --gib both set the logical
+    // message size (the last one wins).
+    flags.Add("gib", "N", [&opt](const char *v) {
+        opt.total_bytes = harness::ParseFlagInt(v) << 30;
+    });
+    flags.Add("mib", "N", [&opt](const char *v) {
+        opt.total_bytes = harness::ParseFlagInt(v) << 20;
+    });
+    flags.Add("budget-mib", "N", [&opt](const char *v) {
+        opt.budget_bytes = harness::ParseFlagInt(v) << 20;
+    });
+    flags.Add("chunk-kib", "N", [&opt](const char *v) {
+        opt.chunk_bytes =
+            static_cast<uint32_t>(harness::ParseFlagInt(v) << 10);
+    });
+    flags.Add("seed", "N", &opt.seed);
+    flags.Add("json", "PATH", &opt.json_path);
+    flags.Parse(argc, argv);
     return opt;
 }
 
@@ -403,121 +395,76 @@ main(int argc, char **argv)
     const SoakResult r = RunSoak(opt, pool, blob, &sink);
     const uint32_t reference_crc = message.ReferenceCrc();
 
-    std::printf(
-        "transfer:  status %d  ticks %" PRIu64 "  bytes %" PRIu64
-        "  records %" PRIu64 "/%" PRIu64 "\n"
-        "faults:    dropped %" PRIu64 "  truncated %" PRIu64
-        "  corrupted %" PRIu64 "  duplicated %" PRIu64
-        "  reordered %" PRIu64 "  crc-detected %" PRIu64
-        "  wedges %" PRIu64 "\n"
-        "recovery:  retransmits %" PRIu64 "  nacks %" PRIu64
-        "  dup-chunks-acked %" PRIu64 "  gap-nacks %" PRIu64
-        "  window-stalls %" PRIu64 "  stalled %.1f ms\n"
-        "memory:    peak buffer %.2f MiB  (budget %.0f MiB)\n"
-        "identity:  reference crc %08x  sender %08x  receiver %08x  "
-        "sink-bodies %08x\n"
-        "resume:    dedup replay after response loss: %s\n\n",
-        static_cast<int>(r.final_status), r.ticks,
-        r.receiver.bytes_committed, r.sink_records, r.records,
-        r.channel.dropped, r.channel.truncated, r.channel.corrupted,
-        r.channel.duplicated, r.channel.reordered,
-        r.channel.detected_by_crc, r.receiver.wedges_started,
-        r.sender.retransmits, r.sender.nacks_received,
-        r.receiver.duplicate_chunks, r.receiver.gap_nacks,
-        r.sender.window_stalls, r.sender.stalled_ns / 1e6,
-        r.peak_buffer_bytes / 1048576.0, opt.budget_bytes / 1048576.0,
-        reference_crc, r.sender_crc, r.receiver_crc, r.sink_body_crc,
-        r.dedup_replayed ? "yes" : "no");
-
     // Same-seed replay: the whole run must be a pure function of the
     // seed — bit-identical counters, not just the same verdict.
     VerifySink sink2;
     const SoakResult r2 = RunSoak(opt, pool, blob, &sink2);
     const bool deterministic = r.Fingerprint() == r2.Fingerprint() &&
                                r2.sink_body_crc == r.sink_body_crc;
-    std::printf("replay:    same-seed counters bit-identical: %s\n\n",
-                deterministic ? "yes" : "NO");
 
-    bool ok = true;
-    const auto require = [&ok](bool cond, const char *what) {
-        if (!cond) {
-            std::fprintf(stderr, "FAIL: %s\n", what);
-            ok = false;
-        }
-    };
-    require(r.final_status == StatusCode::kOk, "stream completed");
-    require(r.receiver.bytes_committed == r.total_bytes,
-            "all bytes committed");
-    require(r.sink_records == r.records, "all records delivered once");
-    require(sink.wrong_lengths == 0, "record lengths intact");
-    require(sink.unexpected_scalars == 0, "no stray fields");
-    require(r.sender_crc == reference_crc, "sender CRC matches source");
-    require(r.receiver_crc == reference_crc,
-            "receiver CRC matches source");
-    require(r.peak_buffer_bytes <= opt.budget_bytes,
-            "peak buffer within budget");
-    require(r.peak_buffer_bytes < r.total_bytes / 4 ||
-                r.total_bytes < (8u << 20),
-            "streaming, not buffering (peak << logical size)");
-    require(r.channel.detected_by_crc ==
-                r.channel.truncated + r.channel.corrupted,
-            "every mangled chunk caught by CRC");
-    require(r.receiver.duplicate_chunks >= r.channel.duplicated,
-            "duplicates acked, not re-decoded");
-    require(r.dedup_replayed, "response loss recovered via dedup");
-    require(deterministic, "same-seed replay bit-identical");
+    harness::Gates gates;
+    gates.Require(r.final_status == StatusCode::kOk, "stream completed");
+    gates.Require(r.receiver.bytes_committed == r.total_bytes,
+                  "all bytes committed");
+    gates.Require(r.sink_records == r.records,
+                  "all records delivered once");
+    gates.Require(sink.wrong_lengths == 0, "record lengths intact");
+    gates.Require(sink.unexpected_scalars == 0, "no stray fields");
+    gates.Require(r.sender_crc == reference_crc,
+                  "sender CRC matches source");
+    gates.Require(r.receiver_crc == reference_crc,
+                  "receiver CRC matches source");
+    gates.Require(r.peak_buffer_bytes <= opt.budget_bytes,
+                  "peak buffer within budget");
+    gates.Require(r.peak_buffer_bytes < r.total_bytes / 4 ||
+                      r.total_bytes < (8u << 20),
+                  "streaming, not buffering (peak << logical size)");
+    gates.Require(r.channel.detected_by_crc ==
+                      r.channel.truncated + r.channel.corrupted,
+                  "every mangled chunk caught by CRC");
+    gates.Require(r.receiver.duplicate_chunks >= r.channel.duplicated,
+                  "duplicates acked, not re-decoded");
+    gates.Require(r.dedup_replayed, "response loss recovered via dedup");
+    gates.Require(deterministic, "same-seed replay bit-identical");
 
-    if (!opt.json_path.empty()) {
-        std::FILE *f = std::fopen(opt.json_path.c_str(), "w");
-        PA_CHECK(f != nullptr);
-        std::fprintf(
-            f,
-            "{\n"
-            "  \"bench\": \"stream_soak\",\n"
-            "  \"total_bytes\": %" PRIu64 ",\n"
-            "  \"chunk_bytes\": %u,\n"
-            "  \"budget_bytes\": %" PRIu64 ",\n"
-            "  \"seed\": %" PRIu64 ",\n"
-            "  \"status\": %d,\n"
-            "  \"ticks\": %" PRIu64 ",\n"
-            "  \"records\": %" PRIu64 ",\n"
-            "  \"chunks_sent\": %" PRIu64 ",\n"
-            "  \"chunks_committed\": %" PRIu64 ",\n"
-            "  \"retransmits\": %" PRIu64 ",\n"
-            "  \"gap_nacks\": %" PRIu64 ",\n"
-            "  \"duplicate_chunks\": %" PRIu64 ",\n"
-            "  \"window_stalls\": %" PRIu64 ",\n"
-            "  \"stalled_ms\": %.3f,\n"
-            "  \"chunks_dropped\": %" PRIu64 ",\n"
-            "  \"chunks_truncated\": %" PRIu64 ",\n"
-            "  \"chunks_corrupted\": %" PRIu64 ",\n"
-            "  \"chunks_duplicated\": %" PRIu64 ",\n"
-            "  \"chunks_reordered\": %" PRIu64 ",\n"
-            "  \"detected_by_crc\": %" PRIu64 ",\n"
-            "  \"wedges\": %" PRIu64 ",\n"
-            "  \"peak_buffer_bytes\": %" PRIu64 ",\n"
-            "  \"reference_crc\": \"%08x\",\n"
-            "  \"receiver_crc\": \"%08x\",\n"
-            "  \"dedup_replayed\": %s,\n"
-            "  \"deterministic_replay\": %s,\n"
-            "  \"all_checks_passed\": %s\n"
-            "}\n",
-            r.total_bytes, opt.chunk_bytes, opt.budget_bytes, opt.seed,
-            static_cast<int>(r.final_status), r.ticks, r.sink_records,
-            r.sender.chunks_sent, r.receiver.chunks_committed,
-            r.sender.retransmits, r.receiver.gap_nacks,
-            r.receiver.duplicate_chunks, r.sender.window_stalls,
-            r.sender.stalled_ns / 1e6, r.channel.dropped,
-            r.channel.truncated, r.channel.corrupted,
-            r.channel.duplicated, r.channel.reordered,
-            r.channel.detected_by_crc, r.receiver.wedges_started,
-            r.peak_buffer_bytes, reference_crc, r.receiver_crc,
-            r.dedup_replayed ? "true" : "false",
-            deterministic ? "true" : "false", ok ? "true" : "false");
-        std::fclose(f);
-        std::printf("wrote %s\n", opt.json_path.c_str());
-    }
-
-    std::printf("verdict: %s\n", ok ? "ALL CHECKS PASSED" : "FAILED");
-    return ok ? 0 : 1;
+    char reference_hex[9], receiver_hex[9];
+    std::snprintf(reference_hex, sizeof(reference_hex), "%08x",
+                  reference_crc);
+    std::snprintf(receiver_hex, sizeof(receiver_hex), "%08x",
+                  r.receiver_crc);
+    harness::JsonWriter json;
+    json.BeginObject()
+        .Str("bench", "stream_soak")
+        .Uint("total_bytes", r.total_bytes)
+        .Uint("chunk_bytes", opt.chunk_bytes)
+        .Uint("budget_bytes", opt.budget_bytes)
+        .Uint("seed", opt.seed)
+        .Int("status", static_cast<int>(r.final_status))
+        .Uint("ticks", r.ticks)
+        .Uint("records", r.sink_records)
+        .Uint("chunks_sent", r.sender.chunks_sent)
+        .Uint("chunks_committed", r.receiver.chunks_committed)
+        .Uint("retransmits", r.sender.retransmits)
+        .Uint("gap_nacks", r.receiver.gap_nacks)
+        .Uint("duplicate_chunks", r.receiver.duplicate_chunks)
+        .Uint("window_stalls", r.sender.window_stalls)
+        .Num("stalled_ms", r.sender.stalled_ns / 1e6, "%.3f")
+        .Uint("chunks_dropped", r.channel.dropped)
+        .Uint("chunks_truncated", r.channel.truncated)
+        .Uint("chunks_corrupted", r.channel.corrupted)
+        .Uint("chunks_duplicated", r.channel.duplicated)
+        .Uint("chunks_reordered", r.channel.reordered)
+        .Uint("detected_by_crc", r.channel.detected_by_crc)
+        .Uint("wedges", r.receiver.wedges_started)
+        .Uint("peak_buffer_bytes", r.peak_buffer_bytes)
+        .Str("reference_crc", reference_hex)
+        .Str("receiver_crc", receiver_hex)
+        .Bool("dedup_replayed", r.dedup_replayed)
+        .Bool("deterministic_replay", deterministic)
+        .Bool("all_checks_passed", gates.ok())
+        .EndObject();
+    std::printf("%s\n", json.str().c_str());
+    if (!opt.json_path.empty() && !json.WriteFile(opt.json_path))
+        return 1;
+    return gates.Report("stream soak");
 }

@@ -287,20 +287,6 @@ PrintFigure(const std::string &title, const std::vector<FigureRow> &rows)
 }
 
 double
-Percentile(std::vector<double> values, double p)
-{
-    if (values.empty())
-        return 0;
-    std::sort(values.begin(), values.end());
-    const double rank =
-        p / 100.0 * static_cast<double>(values.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = lo + 1 < values.size() ? lo + 1 : lo;
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
-double
 ExactPercentile(std::vector<double> values, double p)
 {
     if (values.empty())

@@ -100,17 +100,11 @@ FigureRow PrintFigure(const std::string &title,
 double GeoMean(const std::vector<double> &values);
 
 /**
- * Linear-interpolated percentile of @p values (p in [0,100]); 0 when
- * empty. Sorts a copy: fine for per-run latency reporting.
- */
-double Percentile(std::vector<double> values, double p);
-
-/**
  * Exact (nearest-rank) percentile of @p values (p in (0,100]); 0 when
- * empty. Unlike the interpolated Percentile above, this returns a
- * value that actually occurred — the right statistic for tail SLO
- * reporting (an interpolated p99 can name a latency no request ever
- * saw). Sorts a copy.
+ * empty. Unlike an interpolated percentile, this returns a value that
+ * actually occurred — the right statistic for tail SLO reporting (an
+ * interpolated p99 can name a latency no request ever saw). Sorts a
+ * copy.
  */
 double ExactPercentile(std::vector<double> values, double p);
 

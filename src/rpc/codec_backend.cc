@@ -11,7 +11,6 @@ AcceleratedBackend::AcceleratedBackend(const proto::DescriptorPool &pool,
       adts_(pool, &adt_arena_),
       ser_arena_(16 << 20)
 {
-    device_.DeserAssignArena(&deser_arena_);
     device_.SerAssignArena(&ser_arena_);
 }
 
@@ -69,6 +68,10 @@ AcceleratedBackend::Deserialize(const uint8_t *data, size_t size,
                                 proto::Message *msg)
 {
     ++jobs_;
+    // Sub-objects live in the destination message's arena, as they do
+    // on the software engines: they die with the message instead of
+    // piling up in a device-owned arena.
+    device_.DeserAssignArena(msg->arena());
     device_.EnqueueDeser(accel::MakeDeserJob(
         adts_, msg->descriptor().pool_index(), pool_, msg->raw(), data,
         size));

@@ -473,7 +473,6 @@ class AcceleratedBackend : public CodecBackend
     accel::ProtoAccelerator device_;
     proto::Arena adt_arena_;
     accel::AdtBuilder adts_;
-    proto::Arena deser_arena_;
     accel::SerArena ser_arena_;
     uint64_t cycles_ = 0;
     uint64_t deser_cycles_ = 0;

@@ -34,96 +34,35 @@
 #include "rpc/rpc.h"
 #include "rpc/schema_registry.h"
 
+#include "skew_quad_rig.h"
+
 namespace protoacc {
 namespace {
 
 using proto::DescriptorPool;
 using proto::Message;
 
-/// One skew-pool version wired to all four engines as the decoder.
-struct VersionRig
-{
-    explicit VersionRig(int version)
-        : np(genpools::BuildSkewPool(version)),
-          memory(sim::MemorySystemConfig{}),
-          accel(&memory, accel::AccelConfig{}),
-          adts(std::make_unique<accel::AdtBuilder>(*np.pool, &adt_arena))
-    {
-        accel.DeserAssignArena(&deser_arena);
-        accel.SerAssignArena(&ser_arena);
-    }
-
-    genpools::NamedPool np;
-    proto::Arena adt_arena;
-    proto::Arena deser_arena;
-    accel::SerArena ser_arena;
-    sim::MemorySystem memory;
-    accel::ProtoAccelerator accel;
-    std::unique_ptr<accel::AdtBuilder> adts;
-    uint32_t ser_jobs = 0;
-};
+using robustness::SkewQuadRig;
 
 /// Parse @p wire with all four engines of @p rig; EXPECT agreement and
 /// byte-identical re-serialization across engines. Returns the table
 /// engine's output (empty when the wire was rejected).
 std::vector<uint8_t>
-QuadRoundTrip(VersionRig *rig, const std::vector<uint8_t> &wire,
+QuadRoundTrip(SkewQuadRig *rig, const std::vector<uint8_t> &wire,
               const std::string &ctx)
 {
-    const DescriptorPool &pool = *rig->np.pool;
-    const int root = rig->np.root;
-    proto::Arena arena;
-
-    Message ref_dest = Message::Create(&arena, pool, root);
-    Message tab_dest = Message::Create(&arena, pool, root);
-    Message gen_dest = Message::Create(&arena, pool, root);
-    Message acc_dest = Message::Create(&arena, pool, root);
-
-    const StatusCode ref_st = proto::ToStatusCode(
-        proto::ReferenceParseFromBuffer(wire.data(), wire.size(),
-                                        &ref_dest, nullptr, nullptr));
-    const StatusCode tab_st = proto::ToStatusCode(proto::ParseFromBuffer(
-        wire.data(), wire.size(), &tab_dest, nullptr, nullptr));
-    const StatusCode gen_st = proto::ToStatusCode(
-        proto::GeneratedParseFromBuffer(wire.data(), wire.size(),
-                                        &gen_dest, nullptr, nullptr));
-    rig->accel.EnqueueDeser(accel::MakeDeserJob(*rig->adts, root, pool,
-                                                acc_dest.raw(),
-                                                wire.data(),
-                                                wire.size()));
-    uint64_t cycles = 0;
-    const StatusCode acc_st =
-        accel::ToStatusCode(rig->accel.BlockForDeserCompletion(&cycles));
-
-    EXPECT_EQ(StatusOk(ref_st), StatusOk(tab_st)) << ctx;
-    EXPECT_EQ(StatusOk(tab_st), StatusOk(gen_st)) << ctx;
-    EXPECT_EQ(StatusOk(tab_st), StatusOk(acc_st)) << ctx;
-    if (!StatusOk(tab_st))
+    const robustness::QuadResult r = robustness::QuadRoundTrip(rig, wire);
+    EXPECT_EQ(StatusOk(r.reference), StatusOk(r.table)) << ctx;
+    EXPECT_EQ(StatusOk(r.table), StatusOk(r.generated)) << ctx;
+    EXPECT_EQ(StatusOk(r.table), StatusOk(r.accel)) << ctx;
+    if (!r.accepted())
         return {};
-
-    EXPECT_TRUE(MessagesEqual(ref_dest, tab_dest)) << ctx;
-    EXPECT_TRUE(MessagesEqual(tab_dest, gen_dest)) << ctx;
-    EXPECT_TRUE(MessagesEqual(tab_dest, acc_dest)) << ctx;
-
-    const std::vector<uint8_t> ref_out =
-        proto::ReferenceSerialize(ref_dest, nullptr);
-    const std::vector<uint8_t> tab_out =
-        proto::Serialize(tab_dest, nullptr);
-    const std::vector<uint8_t> gen_out =
-        proto::GeneratedSerialize(gen_dest, nullptr);
-    rig->accel.EnqueueSer(
-        accel::MakeSerJob(*rig->adts, root, pool, acc_dest.raw()));
-    EXPECT_EQ(rig->accel.BlockForSerCompletion(&cycles),
-              accel::AccelStatus::kOk)
-        << ctx;
-    const auto &acc_raw = rig->ser_arena.output(rig->ser_jobs++);
-    const std::vector<uint8_t> acc_out(acc_raw.data,
-                                       acc_raw.data + acc_raw.size);
-
-    EXPECT_EQ(ref_out, tab_out) << ctx;
-    EXPECT_EQ(gen_out, tab_out) << ctx;
-    EXPECT_EQ(acc_out, tab_out) << ctx;
-    return tab_out;
+    EXPECT_TRUE(r.messages_equal) << ctx;
+    EXPECT_TRUE(r.accel_ser_ok) << ctx;
+    EXPECT_EQ(r.reference_out, r.table_out) << ctx;
+    EXPECT_EQ(r.generated_out, r.table_out) << ctx;
+    EXPECT_EQ(r.accel_out, r.table_out) << ctx;
+    return r.table_out;
 }
 
 TEST(SchemaSkew, CrossVersionQuadEngineDifferential)
@@ -135,7 +74,7 @@ TEST(SchemaSkew, CrossVersionQuadEngineDifferential)
     // contract is cross-engine agreement, not wire identity.
     constexpr int kSeedsPerPair = 220;
     for (int decode = 0; decode <= 2; ++decode) {
-        VersionRig rig(decode);
+        SkewQuadRig rig(decode);
         for (int encode = 0; encode <= 2; ++encode) {
             genpools::NamedPool enc = genpools::BuildSkewPool(encode);
             for (int seed = 0; seed < kSeedsPerPair; ++seed) {
@@ -155,8 +94,9 @@ TEST(SchemaSkew, CrossVersionQuadEngineDifferential)
                     std::to_string(seed);
                 const std::vector<uint8_t> out =
                     QuadRoundTrip(&rig, wire, ctx);
-                if (!(encode == 1 && decode == 2))
+                if (!(encode == 1 && decode == 2)) {
                     EXPECT_EQ(out, wire) << ctx;
+                }
                 rig.deser_arena.Reset();
             }
         }
@@ -167,7 +107,7 @@ TEST(SchemaSkew, UnknownFieldsPreservedOnOlderDecoder)
 {
     // A v_N payload through a v_{N-1} decoder: the added fields (6-9)
     // land in the unknown store and survive the round trip.
-    VersionRig rig(0);
+    SkewQuadRig rig(0);
     genpools::NamedPool enc = genpools::BuildSkewPool(1);
     Rng rng(42);
     proto::Arena arena;
@@ -199,7 +139,7 @@ TEST(SchemaSkew, WidenedFieldTruncationAgreesAcrossEngines)
     // v_N writes count as int64; v_{N+1} reads it as int32. The
     // truncation must be identical in all four engines (agreement, not
     // wire identity — the narrowing is lossy by design).
-    VersionRig rig(2);
+    SkewQuadRig rig(2);
     genpools::NamedPool enc = genpools::BuildSkewPool(1);
     proto::Arena arena;
     Message src = Message::Create(&arena, *enc.pool, enc.root);
@@ -275,7 +215,7 @@ TEST(SchemaSkew, UnknownFieldBudgetExhaustionAgreesAcrossEngines)
     // Preserved unknown bytes charge the alloc budget in every engine:
     // a v1 wire with a large unknown blob into a v0 decoder under a
     // tiny budget must exhaust identically in all four.
-    VersionRig rig(0);
+    SkewQuadRig rig(0);
     genpools::NamedPool enc = genpools::BuildSkewPool(1);
     proto::Arena arena;
     Message src = Message::Create(&arena, *enc.pool, enc.root);

@@ -421,6 +421,62 @@ TEST_F(RpcEndToEndTest, AcceleratedBackendsRoundTrip)
     EXPECT_EQ(b.failures, 0u);
 }
 
+TEST(AcceleratedBackendArena, DeserializesIntoTheCallersArena)
+{
+    // Sub-messages and strings the device builds must live in the
+    // destination message's arena, like the software engines' — not in
+    // a device-owned arena that grows for the backend's lifetime.
+    DescriptorPool pool;
+    ASSERT_TRUE(proto::ParseSchema(R"(
+        message Inner { optional string name = 1; optional int32 v = 2; }
+        message Outer {
+            optional string title = 1;
+            optional Inner child = 2;
+            repeated Inner items = 3;
+            repeated string tags = 4;
+        }
+    )",
+                                   &pool)
+                    .ok);
+    pool.Compile(proto::HasbitsMode::kSparse);
+    const int outer = pool.FindMessage("Outer");
+    const auto &od = pool.message(outer);
+    const auto &id = pool.message(pool.FindMessage("Inner"));
+
+    proto::Arena src_arena;
+    Message src = Message::Create(&src_arena, pool, outer);
+    src.SetString(*od.FindFieldByName("title"),
+                  std::string(100, 't'));
+    Message child = src.MutableMessage(*od.FindFieldByName("child"));
+    child.SetString(*id.FindFieldByName("name"), std::string(50, 'c'));
+    child.SetInt32(*id.FindFieldByName("v"), 7);
+    for (int i = 0; i < 4; ++i) {
+        Message item = src.AddRepeatedMessage(*od.FindFieldByName("items"));
+        item.SetString(*id.FindFieldByName("name"),
+                       "item-" + std::to_string(i) + std::string(40, 'i'));
+        src.AddRepeatedString(*od.FindFieldByName("tags"),
+                              "tag-" + std::to_string(i));
+    }
+    SoftwareBackend software(cpu::BoomParams(), pool);
+    const std::vector<uint8_t> wire = software.Serialize(src);
+
+    AcceleratedBackend accel(pool);
+    proto::Arena caller;
+    Message parsed = Message::Create(&caller, pool, outer);
+    const size_t before = caller.bytes_used();
+    ASSERT_EQ(accel.Deserialize(wire.data(), wire.size(), &parsed),
+              StatusCode::kOk);
+    // At least the strings' bytes landed in the caller's arena.
+    EXPECT_GT(caller.bytes_used(), before + 100 + 50 + 4 * 46);
+
+    proto::Arena sw_arena;
+    Message expect = Message::Create(&sw_arena, pool, outer);
+    ASSERT_EQ(software.Deserialize(wire.data(), wire.size(), &expect),
+              StatusCode::kOk);
+    EXPECT_TRUE(MessagesEqual(parsed, expect));
+    EXPECT_TRUE(MessagesEqual(parsed, src));
+}
+
 TEST_F(RpcEndToEndTest, AcceleratorShrinksCodecShare)
 {
     const RpcTimeBreakdown sw = RunSession(
