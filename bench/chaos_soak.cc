@@ -27,7 +27,8 @@
  * code, so every Mode A invariant must hold unchanged — this is the
  * acceptance check that offload does not reopen any exactly-once hole.
  *
- * Flags: --calls=N   logical calls per mode (default 1500)
+ * Flags: --calls=N   logical calls per mode (default 1500, at least
+ *                    400: below that the liveness gates rarely fire)
  *        --seed=S    base seed (default 0xC0FFEE)
  *        --json=PATH write both modes' counters as JSON
  */
@@ -320,6 +321,19 @@ main(int argc, char **argv)
     flags.Add("seed", "S", &seed);
     flags.Add("json", "PATH", &json_path);
     flags.Parse(argc, argv);
+    // The liveness gates need rare faults to fire: at a 0.004 wedge
+    // rate, --calls=100 records no watchdog reset at the default seed.
+    constexpr uint64_t kMinCalls = 400;
+    if (calls < kMinCalls) {
+        std::fprintf(stderr,
+                     "%s\nchaos_soak: --calls must be at least %llu; "
+                     "fewer calls cannot pass the liveness gates "
+                     "(watchdog resets, dedup hits, detected "
+                     "corruptions, worker crashes)\n",
+                     flags.Usage().c_str(),
+                     static_cast<unsigned long long>(kMinCalls));
+        return 1;
+    }
 
     const harness::EchoSchema echo;
 

@@ -15,8 +15,8 @@
  *
  * Functionally nothing changes: the same FrameBuffer code parses and
  * stamps the same bytes, and the same DedupCache answers the same
- * probes — the engine is a proto::CostSink, so attaching it to the
- * ingress/reply buffers *reprices* the framing work at device rates
+ * probes — the engine is a proto::CostSink tally, so attaching it to
+ * the ingress/reply buffers *reprices* the framing work at device rates
  * (and into device time) instead of host cycles. That keeps the
  * differential guarantee trivial to state: the offload path is
  * byte-identical on the wire because it runs the identical functional
@@ -67,20 +67,18 @@ struct FrameEngineTiming
 };
 
 /**
- * Accumulates modeled device cycles for the framing work routed
- * through it. Attach to a FrameBuffer (SetCostSink) and to the
- * server's dedup probes; read cycles() deltas per batch to ride the
- * frame-engine time on the device timeline.
+ * Tallies the framing work routed through it and prices it in modeled
+ * device cycles when read. Attach to a FrameBuffer (SetCostSink) and to
+ * the server's dedup probes; read cycles() deltas per batch to ride the
+ * frame-engine time on the device timeline. Header, CRC and dedup-probe
+ * counts are the tally's frame_header, crc and dedup_probe entries.
  */
 class FrameEngine : public proto::CostSink
 {
   public:
+    /// Engine-only events (the framing hooks live in the tally).
     struct Stats
     {
-        uint64_t frame_headers = 0;
-        uint64_t crc_ops = 0;
-        uint64_t crc_bytes = 0;
-        uint64_t dedup_probes = 0;
         uint64_t error_frames = 0;
         /// v4 stream data chunks priced through the engine.
         uint64_t stream_chunks = 0;
@@ -93,28 +91,6 @@ class FrameEngine : public proto::CostSink
     explicit FrameEngine(const FrameEngineTiming &timing)
         : timing_(timing)
     {}
-
-    void
-    OnCrc(size_t bytes) override
-    {
-        cycles_ += timing_.crc_setup_cycles +
-                   static_cast<double>(bytes) /
-                       timing_.crc_bytes_per_cycle;
-        ++stats_.crc_ops;
-        stats_.crc_bytes += bytes;
-    }
-    void
-    OnFrameHeader() override
-    {
-        cycles_ += timing_.header_cycles;
-        ++stats_.frame_headers;
-    }
-    void
-    OnDedupProbe() override
-    {
-        cycles_ += timing_.dedup_probe_cycles;
-        ++stats_.dedup_probes;
-    }
 
     /// Price one inbound frame of @p frame_bytes (header + payload) as
     /// the engine pulls it off the wire: header parse/validate plus
@@ -131,12 +107,7 @@ class FrameEngine : public proto::CostSink
     /// One reject-path error frame was synthesized (its header/CRC
     /// charges arrive via the sink hooks like any frame; this adds the
     /// synthesis premium).
-    void
-    ChargeErrorFrame()
-    {
-        cycles_ += timing_.error_frame_cycles;
-        ++stats_.error_frames;
-    }
+    void ChargeErrorFrame() { ++stats_.error_frames; }
 
     /// Price one v4 stream data chunk of @p chunk_bytes payload: the
     /// ingress header/CRC work plus the stream-bookkeeping stage
@@ -145,7 +116,6 @@ class FrameEngine : public proto::CostSink
     ChargeStreamChunk(size_t chunk_bytes)
     {
         ChargeIngressFrame(chunk_bytes);
-        cycles_ += timing_.stream_ctrl_cycles;
         ++stats_.stream_chunks;
         stats_.stream_chunk_bytes += chunk_bytes;
     }
@@ -156,25 +126,28 @@ class FrameEngine : public proto::CostSink
     ChargeStreamControl(size_t subheader_bytes)
     {
         ChargeIngressFrame(subheader_bytes);
-        cycles_ += timing_.stream_ctrl_cycles;
         ++stats_.stream_ctrl_frames;
     }
 
     /// Accumulated device cycles.
-    double cycles() const { return cycles_; }
+    double
+    cycles() const
+    {
+        const auto d = [](uint64_t v) { return static_cast<double>(v); };
+        const FrameEngineTiming &t = timing_;
+        return t.header_cycles * d(frame_header) +
+               t.crc_setup_cycles * d(crc.n) +
+               d(crc.bytes) / t.crc_bytes_per_cycle +
+               t.dedup_probe_cycles * d(dedup_probe) +
+               t.error_frame_cycles * d(stats_.error_frames) +
+               t.stream_ctrl_cycles *
+                   d(stats_.stream_chunks + stats_.stream_ctrl_frames);
+    }
     const Stats &stats() const { return stats_; }
     const FrameEngineTiming &timing() const { return timing_; }
 
-    void
-    Reset()
-    {
-        cycles_ = 0;
-        stats_ = Stats{};
-    }
-
   private:
     FrameEngineTiming timing_;
-    double cycles_ = 0;
     Stats stats_;
 };
 

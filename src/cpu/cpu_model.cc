@@ -74,4 +74,34 @@ XeonParams()
     return p;
 }
 
+double
+CpuCostModel::cycles() const
+{
+    const CpuParams &p = params_;
+    const auto d = [](uint64_t v) { return static_cast<double>(v); };
+    // Multi-byte keys pay extra decode-loop iterations beyond the first
+    // byte of each key.
+    double c = p.per_tag_decode * d(tag_decode.n) +
+               p.per_varint_decode_byte *
+                   (d(tag_decode.bytes) - d(tag_decode.n));
+    c += p.per_tag_encode * d(tag_encode.n) +
+         p.per_varint_encode_byte * (d(tag_encode.bytes) - d(tag_encode.n));
+    c += p.per_varint_decode_byte * d(varint_decode.bytes);
+    c += p.per_varint_encode_byte * d(varint_encode.bytes);
+    c += p.per_fixed_copy * d(fixed_copy.n);
+    c += p.memcpy_setup * d(bulk_copy.n) +
+         d(bulk_copy.bytes) / p.memcpy_bytes_per_cycle;
+    c += p.per_alloc * d(alloc.n) + d(alloc.bytes) / p.alloc_bytes_per_cycle;
+    c += p.per_field_dispatch * d(field_dispatch);
+    c += p.per_message_begin * d(message_begin);
+    c += p.per_message_end * d(message_end);
+    c += p.per_bytesize_field * d(bytesize_field);
+    c += p.per_bytesize_message * d(bytesize_message);
+    c += p.per_hasbits_word * d(hasbits.bytes);
+    c += p.crc_setup * d(crc.n) + d(crc.bytes) / p.crc_bytes_per_cycle;
+    c += p.per_frame_header * d(frame_header);
+    c += p.per_dedup_probe * d(dedup_probe);
+    return c;
+}
+
 }  // namespace protoacc::cpu

@@ -4,11 +4,12 @@
  *
  * The paper's baselines are (1) a single SonicBOOM OoO core at 2 GHz in
  * the same SoC and (2) one core of a Xeon E5-2686 v4 at 2.3/2.7 GHz. We
- * model both by attaching a per-operation cost model (a proto::CostSink)
- * to the functional software codec: every primitive the codec performs —
- * tag parse, varint byte, fixed copy, bulk memcpy, allocation, field
- * dispatch, per-message call overhead, ByteSize work — charges cycles
- * under a per-machine parameter set.
+ * model both by attaching a per-operation cost model (a proto::CostSink
+ * tally) to the functional software codec: every primitive the codec
+ * performs — tag parse, varint byte, fixed copy, bulk memcpy,
+ * allocation, field dispatch, per-message call overhead, ByteSize work —
+ * is counted, and priced in cycles under a per-machine parameter set
+ * when the model is read.
  *
  * Parameters are calibrated (see EXPERIMENTS.md) so that the *shape* of
  * the paper's Figure 11 microbenchmarks holds: varint throughput grows
@@ -63,90 +64,19 @@ CpuParams BoomParams();
 CpuParams XeonParams();
 
 /**
- * CostSink implementation accumulating cycles under a CpuParams set.
- * Attach to the software codec, run a batch, read cycles()/seconds().
+ * Cost tally priced under a CpuParams set. Attach to the software
+ * codec, run a batch, read cycles()/seconds(): each read prices the
+ * event counts and byte sums with the per-event formulas, so the result
+ * does not depend on the order the events arrived in.
  */
 class CpuCostModel : public proto::CostSink
 {
   public:
     explicit CpuCostModel(CpuParams params) : params_(std::move(params)) {}
 
-    void
-    OnTagDecode(int bytes) override
-    {
-        // Multi-byte keys pay extra decode-loop iterations.
-        cycles_ += params_.per_tag_decode +
-                   params_.per_varint_decode_byte * (bytes - 1);
-    }
-    void
-    OnTagEncode(int bytes) override
-    {
-        cycles_ += params_.per_tag_encode +
-                   params_.per_varint_encode_byte * (bytes - 1);
-    }
-    void
-    OnVarintDecode(int bytes) override
-    {
-        cycles_ += params_.per_varint_decode_byte * bytes;
-    }
-    void
-    OnVarintEncode(int bytes) override
-    {
-        cycles_ += params_.per_varint_encode_byte * bytes;
-    }
-    void OnFixedCopy(int bytes) override
-    {
-        (void)bytes;
-        cycles_ += params_.per_fixed_copy;
-    }
-    void
-    OnMemcpy(size_t bytes) override
-    {
-        cycles_ += params_.memcpy_setup +
-                   static_cast<double>(bytes) /
-                       params_.memcpy_bytes_per_cycle;
-    }
-    void
-    OnAlloc(size_t bytes) override
-    {
-        cycles_ += params_.per_alloc +
-                   static_cast<double>(bytes) /
-                       params_.alloc_bytes_per_cycle;
-    }
-    void OnFieldDispatch() override
-    {
-        cycles_ += params_.per_field_dispatch;
-    }
-    void OnMessageBegin() override
-    {
-        cycles_ += params_.per_message_begin;
-    }
-    void OnMessageEnd() override { cycles_ += params_.per_message_end; }
-    void OnByteSizeField() override
-    {
-        cycles_ += params_.per_bytesize_field;
-    }
-    void OnByteSizeMessage() override
-    {
-        cycles_ += params_.per_bytesize_message;
-    }
-    void OnHasbitsAccess(int words) override
-    {
-        cycles_ += params_.per_hasbits_word * words;
-    }
-    void
-    OnCrc(size_t bytes) override
-    {
-        cycles_ += params_.crc_setup +
-                   static_cast<double>(bytes) /
-                       params_.crc_bytes_per_cycle;
-    }
-    void OnFrameHeader() override { cycles_ += params_.per_frame_header; }
-    void OnDedupProbe() override { cycles_ += params_.per_dedup_probe; }
-
-    double cycles() const { return cycles_; }
-    double seconds() const { return cycles_ / (params_.freq_ghz * 1e9); }
-    void Reset() { cycles_ = 0; }
+    double cycles() const;
+    double seconds() const { return cycles() / (params_.freq_ghz * 1e9); }
+    void Reset() { static_cast<proto::CostSink &>(*this) = {}; }
     const CpuParams &params() const { return params_; }
 
     /// Throughput in Gbit/s for @p wire_bytes of encoded data processed
@@ -154,14 +84,14 @@ class CpuCostModel : public proto::CostSink
     double
     ThroughputGbps(double wire_bytes) const
     {
-        if (cycles_ <= 0)
+        const double c = cycles();
+        if (c <= 0)
             return 0.0;
-        return wire_bytes * 8.0 * params_.freq_ghz / cycles_;
+        return wire_bytes * 8.0 * params_.freq_ghz / c;
     }
 
   private:
     CpuParams params_;
-    double cycles_ = 0;
 };
 
 }  // namespace protoacc::cpu

@@ -28,7 +28,6 @@ AcceleratedBackend::RunSerialize(const proto::Message &msg)
         adts_, msg.descriptor().pool_index(), pool_, msg.raw()));
     uint64_t cycles = 0;
     const accel::AccelStatus st = device_.BlockForSerCompletion(&cycles);
-    cycles_ += cycles;
     ser_cycles_ += cycles;
     last_status_ = accel::ToStatusCode(st);
     // A killed unit may retire the job without producing an output
@@ -78,7 +77,6 @@ AcceleratedBackend::Deserialize(const uint8_t *data, size_t size,
     uint64_t cycles = 0;
     const accel::AccelStatus st =
         device_.BlockForDeserCompletion(&cycles);
-    cycles_ += cycles;
     deser_cycles_ += cycles;
     last_status_ = accel::ToStatusCode(st);
     return last_status_;

@@ -102,21 +102,18 @@ class CodecBackend
     /// Modeled cycles spent in serialization/deserialization so far.
     virtual double codec_cycles() const = 0;
 
-    /// Portion of codec_cycles() spent on an accelerator device (same
-    /// clock domain as codec_cycles). Software-only backends return 0;
-    /// the serving runtime uses the split to charge fallback work to
-    /// the worker core instead of the shared accelerator timeline.
-    virtual double accel_cycles() const { return 0; }
-
     /// Device jobs issued so far (doorbell occupancy for the shared
     /// accelerator queue replay). Software-only backends return 0.
     virtual uint64_t accel_jobs() const { return 0; }
 
-    /// accel_cycles() split by unit: the deserializer-side and
-    /// serializer-side totals. The offloaded datapath pipelines the
-    /// two FSUs across a batch's calls, so its queueing model needs
-    /// the per-stage totals, not just the sum. Zero for software-only
-    /// backends; deser + ser == accel_cycles() for device backends.
+    /// Portion of codec_cycles() spent on an accelerator device (same
+    /// clock domain as codec_cycles), split by unit: the
+    /// deserializer-side and serializer-side totals. Zero for
+    /// software-only backends. The serving runtime uses deser + ser to
+    /// charge fallback work to the worker core instead of the shared
+    /// accelerator timeline; the offloaded datapath pipelines the two
+    /// FSUs across a batch's calls, so its queueing model needs the
+    /// per-stage totals, not just the sum.
     virtual double accel_deser_cycles() const { return 0; }
     virtual double accel_ser_cycles() const { return 0; }
 
@@ -431,11 +428,7 @@ class AcceleratedBackend : public CodecBackend
 
     double codec_cycles() const override
     {
-        return static_cast<double>(cycles_);
-    }
-    double accel_cycles() const override
-    {
-        return static_cast<double>(cycles_);
+        return static_cast<double>(deser_cycles_ + ser_cycles_);
     }
     uint64_t accel_jobs() const override { return jobs_; }
     double accel_deser_cycles() const override
@@ -474,7 +467,6 @@ class AcceleratedBackend : public CodecBackend
     proto::Arena adt_arena_;
     accel::AdtBuilder adts_;
     accel::SerArena ser_arena_;
-    uint64_t cycles_ = 0;
     uint64_t deser_cycles_ = 0;
     uint64_t ser_cycles_ = 0;
     uint64_t jobs_ = 0;
@@ -543,10 +535,6 @@ class HybridCodecBackend : public CodecBackend
         return accel_->codec_cycles() +
                software_->codec_cycles() *
                    (accel_->freq_ghz() / software_->freq_ghz());
-    }
-    double accel_cycles() const override
-    {
-        return accel_->accel_cycles();
     }
     uint64_t accel_jobs() const override { return accel_->accel_jobs(); }
     double accel_deser_cycles() const override

@@ -439,12 +439,12 @@ RpcServerRuntime::Snapshot() const
         ws.arena_blocks = w->server.arena().block_count();
         ws.arena_bytes_reserved = w->server.arena().bytes_reserved();
         ws.reply_payload_copies = w->replies.payload_copies();
-        ws.frame_engine_cycles = w->frame_engine.cycles();
-        ws.frame_engine = w->frame_engine.stats();
-        snap.offload_frame_headers += ws.frame_engine.frame_headers;
-        snap.offload_crc_ops += ws.frame_engine.crc_ops;
-        snap.offload_dedup_probes += ws.frame_engine.dedup_probes;
-        snap.offload_error_frames += ws.frame_engine.error_frames;
+        const accel::FrameEngine &engine = w->frame_engine;
+        ws.frame_engine_cycles = engine.cycles();
+        snap.offload_frame_headers += engine.frame_header;
+        snap.offload_crc_ops += engine.crc.n;
+        snap.offload_dedup_probes += engine.dedup_probe;
+        snap.offload_error_frames += engine.stats().error_frames;
         snap.offload_frame_cycles += ws.frame_engine_cycles;
         if (ws.crashed)
             ++snap.workers_crashed;
@@ -910,8 +910,9 @@ RpcServerRuntime::ProcessBatch(Worker *w,
     // core. Only the batch's measured service time is recorded here;
     // the shared timeline is replayed deterministically in Drain().
     // Work the backend routed to software (fault fallback or forced
-    // degraded mode) is split out via accel_cycles()/accel_jobs() and
-    // charged to the worker core, not the shared accelerator.
+    // degraded mode) is split out via the accel_{deser,ser}_cycles()
+    // and accel_jobs() deltas and charged to the worker core, not the
+    // shared accelerator.
     //
     // With the tenant layer engaged, a mixed-tenant drain is first
     // reordered into per-tenant groups (stable within a group, groups
@@ -950,7 +951,6 @@ RpcServerRuntime::ProcessBatch(Worker *w,
         const uint16_t run_tenant =
             (*batch)[run_start].header.tenant_id;
         const double cycles_before = backend.codec_cycles();
-        const double accel_before = backend.accel_cycles();
         const double deser_before = backend.accel_deser_cycles();
         const double ser_before = backend.accel_ser_cycles();
         const double engine_before =
@@ -994,8 +994,10 @@ RpcServerRuntime::ProcessBatch(Worker *w,
         }
         const double total_cycles =
             backend.codec_cycles() - cycles_before;
-        const double accel_cycles =
-            backend.accel_cycles() - accel_before;
+        const double deser_cycles =
+            backend.accel_deser_cycles() - deser_before;
+        const double ser_cycles = backend.accel_ser_cycles() - ser_before;
+        const double accel_cycles = deser_cycles + ser_cycles;
         AccelBatch record;
         record.jobs =
             static_cast<uint32_t>(backend.accel_jobs() - jobs_before);
@@ -1008,10 +1010,10 @@ RpcServerRuntime::ProcessBatch(Worker *w,
             // Offload descriptor for the pipelined replay: the
             // per-stage device split plus the batch's wire traffic
             // (requests in, replies out) for the PCIe DMA stage.
-            record.deser_cycles = static_cast<uint64_t>(std::llround(
-                backend.accel_deser_cycles() - deser_before));
-            record.ser_cycles = static_cast<uint64_t>(
-                std::llround(backend.accel_ser_cycles() - ser_before));
+            record.deser_cycles =
+                static_cast<uint64_t>(std::llround(deser_cycles));
+            record.ser_cycles =
+                static_cast<uint64_t>(std::llround(ser_cycles));
             record.frame_cycles = static_cast<uint64_t>(
                 std::llround(engine->cycles() - engine_before));
             record.wire_bytes =

@@ -258,10 +258,9 @@ struct WorkerSnapshot
     /// Health domain of this worker's private accelerator (default
     /// state when health is disabled or the backend is software-only).
     HealthSnapshot device_health;
-    /// Frame-engine (offloaded framing stage) activity; all zeros when
-    /// the offload datapath is disabled.
+    /// Device cycles of the frame engine (offloaded framing stage); 0
+    /// when the offload datapath is disabled.
     double frame_engine_cycles = 0;
-    accel::FrameEngine::Stats frame_engine;
 };
 
 /// Aggregate runtime counters.

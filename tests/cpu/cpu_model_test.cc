@@ -39,6 +39,30 @@ TEST(CpuCostModel, AccumulatesPerEvent)
     EXPECT_DOUBLE_EQ(model.cycles(), 0);
 }
 
+TEST(CpuCostModel, PricingIsIndependentOfEventOrder)
+{
+    // One 1 GiB copy among sub-cycle varint/hasbits charges at Xeon
+    // rates: running sums of these round differently by order.
+    CpuCostModel forward(XeonParams()), backward(XeonParams());
+    for (int i = 0; i < 40; ++i) {
+        forward.OnVarintEncode(1 + i % 3);
+        forward.OnHasbitsAccess(1 + i % 2);
+        forward.OnAlloc(24 + 8 * i);
+        forward.OnMemcpy(3 + 7 * i);
+    }
+    forward.OnMemcpy(size_t{1} << 30);
+    backward.OnMemcpy(size_t{1} << 30);
+    for (int i = 39; i >= 0; --i) {
+        backward.OnMemcpy(3 + 7 * i);
+        backward.OnAlloc(24 + 8 * i);
+        backward.OnHasbitsAccess(1 + i % 2);
+        backward.OnVarintEncode(1 + i % 3);
+    }
+    EXPECT_EQ(static_cast<const proto::CostSink &>(forward),
+              static_cast<const proto::CostSink &>(backward));
+    EXPECT_EQ(forward.cycles(), backward.cycles());  // bit-identical
+}
+
 TEST(CpuCostModel, ThroughputConversion)
 {
     CpuParams p;

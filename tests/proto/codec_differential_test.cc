@@ -5,9 +5,9 @@
  *
  * The fast path must be indistinguishable from the reference in three
  * ways: wire output byte-for-byte, parsed objects structurally, and the
- * CostSink event stream (the modeled riscv-boom/Xeon cycle numbers are
- * derived from those events, so equal tallies mean the paper-model
- * figures are unchanged by the fast path).
+ * CostSink tally (the modeled riscv-boom/Xeon cycle numbers are priced
+ * from it, so equal tallies mean the paper-model figures are unchanged
+ * by the fast path).
  */
 #include <gtest/gtest.h>
 
@@ -24,73 +24,6 @@ namespace protoacc::proto {
 namespace {
 
 constexpr int kSchemaSeeds = 128;
-
-/// Counts every cost event and sums its byte arguments.
-struct TallySink : CostSink
-{
-    uint64_t tag_decode = 0, tag_decode_bytes = 0;
-    uint64_t tag_encode = 0, tag_encode_bytes = 0;
-    uint64_t varint_decode = 0, varint_decode_bytes = 0;
-    uint64_t varint_encode = 0, varint_encode_bytes = 0;
-    uint64_t fixed_copy = 0, fixed_copy_bytes = 0;
-    uint64_t memcpy_calls = 0, memcpy_bytes = 0;
-    uint64_t allocs = 0, alloc_bytes = 0;
-    uint64_t field_dispatch = 0;
-    uint64_t message_begin = 0, message_end = 0;
-    uint64_t byte_size_field = 0, byte_size_message = 0;
-    uint64_t hasbits_accesses = 0, hasbits_words = 0;
-
-    void OnTagDecode(int b) override { ++tag_decode; tag_decode_bytes += b; }
-    void OnTagEncode(int b) override { ++tag_encode; tag_encode_bytes += b; }
-    void OnVarintDecode(int b) override
-    {
-        ++varint_decode;
-        varint_decode_bytes += b;
-    }
-    void OnVarintEncode(int b) override
-    {
-        ++varint_encode;
-        varint_encode_bytes += b;
-    }
-    void OnFixedCopy(int b) override { ++fixed_copy; fixed_copy_bytes += b; }
-    void OnMemcpy(size_t b) override { ++memcpy_calls; memcpy_bytes += b; }
-    void OnAlloc(size_t b) override { ++allocs; alloc_bytes += b; }
-    void OnFieldDispatch() override { ++field_dispatch; }
-    void OnMessageBegin() override { ++message_begin; }
-    void OnMessageEnd() override { ++message_end; }
-    void OnByteSizeField() override { ++byte_size_field; }
-    void OnByteSizeMessage() override { ++byte_size_message; }
-    void OnHasbitsAccess(int w) override
-    {
-        ++hasbits_accesses;
-        hasbits_words += w;
-    }
-
-    bool
-    operator==(const TallySink &o) const
-    {
-        return tag_decode == o.tag_decode &&
-               tag_decode_bytes == o.tag_decode_bytes &&
-               tag_encode == o.tag_encode &&
-               tag_encode_bytes == o.tag_encode_bytes &&
-               varint_decode == o.varint_decode &&
-               varint_decode_bytes == o.varint_decode_bytes &&
-               varint_encode == o.varint_encode &&
-               varint_encode_bytes == o.varint_encode_bytes &&
-               fixed_copy == o.fixed_copy &&
-               fixed_copy_bytes == o.fixed_copy_bytes &&
-               memcpy_calls == o.memcpy_calls &&
-               memcpy_bytes == o.memcpy_bytes && allocs == o.allocs &&
-               alloc_bytes == o.alloc_bytes &&
-               field_dispatch == o.field_dispatch &&
-               message_begin == o.message_begin &&
-               message_end == o.message_end &&
-               byte_size_field == o.byte_size_field &&
-               byte_size_message == o.byte_size_message &&
-               hasbits_accesses == o.hasbits_accesses &&
-               hasbits_words == o.hasbits_words;
-    }
-};
 
 struct RandomCase
 {
@@ -116,12 +49,12 @@ TEST(CodecDifferential, SerializedWireIsByteIdentical)
 {
     for (uint64_t seed = 1; seed <= kSchemaSeeds; ++seed) {
         auto c = MakeCase(seed);
-        TallySink ref_sink, fast_sink;
+        CostSink ref_sink, fast_sink;
         const std::vector<uint8_t> ref =
             ReferenceSerialize(c->msg, &ref_sink);
         const std::vector<uint8_t> fast = Serialize(c->msg, &fast_sink);
         ASSERT_EQ(fast, ref) << "seed " << seed;
-        EXPECT_TRUE(fast_sink == ref_sink) << "seed " << seed;
+        EXPECT_EQ(fast_sink, ref_sink) << "seed " << seed;
 
         // SerializeToBuffer agrees with Serialize and with the sized
         // capacity exactly.
@@ -143,11 +76,11 @@ TEST(CodecDifferential, ByteSizeMatchesReference)
 {
     for (uint64_t seed = 1; seed <= kSchemaSeeds; ++seed) {
         auto c = MakeCase(seed);
-        TallySink ref_sink, fast_sink;
+        CostSink ref_sink, fast_sink;
         const size_t ref = ReferenceByteSize(c->msg, &ref_sink);
         const size_t fast = ByteSize(c->msg, &fast_sink);
         EXPECT_EQ(fast, ref) << "seed " << seed;
-        EXPECT_TRUE(fast_sink == ref_sink) << "seed " << seed;
+        EXPECT_EQ(fast_sink, ref_sink) << "seed " << seed;
     }
 }
 
@@ -162,7 +95,7 @@ TEST(CodecDifferential, ParsedObjectsAndTalliesMatch)
             Message::Create(&parse_arena, c->pool, c->root);
         Message fast_msg =
             Message::Create(&parse_arena, c->pool, c->root);
-        TallySink ref_sink, fast_sink;
+        CostSink ref_sink, fast_sink;
         const ParseStatus ref_st = ReferenceParseFromBuffer(
             wire.data(), wire.size(), &ref_msg, &ref_sink);
         const ParseStatus fast_st =
@@ -172,7 +105,7 @@ TEST(CodecDifferential, ParsedObjectsAndTalliesMatch)
         ASSERT_EQ(fast_st, ParseStatus::kOk) << "seed " << seed;
         EXPECT_TRUE(MessagesEqual(fast_msg, ref_msg)) << "seed " << seed;
         EXPECT_TRUE(MessagesEqual(fast_msg, c->msg)) << "seed " << seed;
-        EXPECT_TRUE(fast_sink == ref_sink) << "seed " << seed;
+        EXPECT_EQ(fast_sink, ref_sink) << "seed " << seed;
 
         // Round-trip: re-serializing the fast-parsed object reproduces
         // the wire exactly.

@@ -11,8 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "gen_pools.h"
@@ -115,58 +113,6 @@ TEST(GeneratedCodecParity, WireBytesIdenticalToReference)
 // (count and byte argument) must match the interpreter's stream.
 // -------------------------------------------------------------------
 
-class TallySink : public CostSink
-{
-  public:
-    void OnTagDecode(int b) override { Add("tag_decode", b); }
-    void OnTagEncode(int b) override { Add("tag_encode", b); }
-    void OnVarintDecode(int b) override { Add("varint_decode", b); }
-    void OnVarintEncode(int b) override { Add("varint_encode", b); }
-    void OnFixedCopy(int b) override { Add("fixed_copy", b); }
-    void OnMemcpy(size_t b) override
-    {
-        Add("memcpy", static_cast<int64_t>(b));
-    }
-    void OnAlloc(size_t b) override
-    {
-        Add("alloc", static_cast<int64_t>(b));
-    }
-    void OnFieldDispatch() override { Add("field_dispatch", 0); }
-    void OnMessageBegin() override { Add("message_begin", 0); }
-    void OnMessageEnd() override { Add("message_end", 0); }
-    void OnByteSizeField() override { Add("bytesize_field", 0); }
-    void OnByteSizeMessage() override { Add("bytesize_message", 0); }
-    void OnHasbitsAccess(int w) override { Add("hasbits", w); }
-
-    bool
-    operator==(const TallySink &other) const
-    {
-        return tallies_ == other.tallies_;
-    }
-
-    std::string
-    ToString() const
-    {
-        std::string out;
-        for (const auto &[key, val] : tallies_)
-            out += key + "=" + std::to_string(val.first) + "/" +
-                   std::to_string(val.second) + " ";
-        return out;
-    }
-
-  private:
-    void
-    Add(const char *key, int64_t arg)
-    {
-        auto &slot = tallies_[key];
-        slot.first += 1;
-        slot.second += arg;
-    }
-
-    // hook -> (event count, summed byte argument)
-    std::map<std::string, std::pair<uint64_t, int64_t>> tallies_;
-};
-
 TEST(GeneratedCodecParity, CostEventStreamMatchesTableEngine)
 {
     for (const NamedPool &np : BuildAuxSuite()) {
@@ -178,7 +124,7 @@ TEST(GeneratedCodecParity, CostEventStreamMatchesTableEngine)
 
         // Parse pass.
         {
-            TallySink table_sink, gen_sink;
+            CostSink table_sink, gen_sink;
             Arena a1, a2;
             Message m1 = Message::Create(&a1, *np.pool, np.root);
             Message m2 = Message::Create(&a2, *np.pool, np.root);
@@ -190,21 +136,17 @@ TEST(GeneratedCodecParity, CostEventStreamMatchesTableEngine)
                                                &m2, &gen_sink),
                       ParseStatus::kOk)
                 << np.name;
-            EXPECT_TRUE(table_sink == gen_sink)
-                << np.name << "\n  table: " << table_sink.ToString()
-                << "\n  gen:   " << gen_sink.ToString();
+            EXPECT_EQ(table_sink, gen_sink) << np.name;
         }
 
         // Serialize pass (sizing + write, same call shape both sides).
         {
-            TallySink table_sink, gen_sink;
+            CostSink table_sink, gen_sink;
             const std::vector<uint8_t> a = Serialize(msg, &table_sink);
             const std::vector<uint8_t> b =
                 GeneratedSerialize(msg, &gen_sink);
             ASSERT_EQ(a, b) << np.name;
-            EXPECT_TRUE(table_sink == gen_sink)
-                << np.name << "\n  table: " << table_sink.ToString()
-                << "\n  gen:   " << gen_sink.ToString();
+            EXPECT_EQ(table_sink, gen_sink) << np.name;
         }
     }
 }

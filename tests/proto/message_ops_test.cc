@@ -186,16 +186,11 @@ TEST_F(MessageOpsTest, IsInitializedChecksRequiredRecursively)
 
 TEST_F(MessageOpsTest, OpsChargeCostSink)
 {
-    class Counter : public CostSink
-    {
-      public:
-        int dispatches = 0;
-        void OnFieldDispatch() override { ++dispatches; }
-    } sink;
+    CostSink sink;
     Message src = Populated();
     Message dst = Message::Create(&arena_, pool_, msg_);
     MergeFrom(dst, src, &sink);
-    EXPECT_GT(sink.dispatches, 0);
+    EXPECT_GT(sink.field_dispatch, 0u);
 }
 
 class MessageOpsPropertyTest : public ::testing::TestWithParam<uint64_t>

@@ -154,32 +154,6 @@ TEST(SchemaSkew, WidenedFieldTruncationAgreesAcrossEngines)
     ASSERT_FALSE(out.empty());
 }
 
-/// Sink tallying the allocation/copy event stream (the cost contract
-/// the three software engines must share for unknown preservation).
-class TallySink : public proto::CostSink
-{
-  public:
-    void OnAlloc(size_t bytes) override
-    {
-        ++allocs;
-        alloc_bytes += bytes;
-    }
-    void OnMemcpy(size_t bytes) override
-    {
-        ++memcpys;
-        memcpy_bytes += bytes;
-    }
-    uint64_t allocs = 0, alloc_bytes = 0;
-    uint64_t memcpys = 0, memcpy_bytes = 0;
-
-    bool
-    operator==(const TallySink &o) const
-    {
-        return allocs == o.allocs && alloc_bytes == o.alloc_bytes &&
-               memcpys == o.memcpys && memcpy_bytes == o.memcpy_bytes;
-    }
-};
-
 TEST(SchemaSkew, UnknownPreservationCostParityAcrossSoftwareEngines)
 {
     genpools::NamedPool dec = genpools::BuildSkewPool(0);
@@ -192,7 +166,7 @@ TEST(SchemaSkew, UnknownPreservationCostParityAcrossSoftwareEngines)
     src.SetString(*d.FindFieldByName("blob"), "0123456789abcdef");
     const std::vector<uint8_t> wire = proto::Serialize(src, nullptr);
 
-    TallySink ref_sink, tab_sink, gen_sink;
+    proto::CostSink ref_sink, tab_sink, gen_sink;
     Message a = Message::Create(&arena, *dec.pool, dec.root);
     Message b = Message::Create(&arena, *dec.pool, dec.root);
     Message c = Message::Create(&arena, *dec.pool, dec.root);
@@ -205,9 +179,9 @@ TEST(SchemaSkew, UnknownPreservationCostParityAcrossSoftwareEngines)
     ASSERT_EQ(proto::ToStatusCode(proto::GeneratedParseFromBuffer(
                   wire.data(), wire.size(), &c, &gen_sink, nullptr)),
               StatusCode::kOk);
-    EXPECT_TRUE(ref_sink == tab_sink);
-    EXPECT_TRUE(tab_sink == gen_sink);
-    EXPECT_GT(tab_sink.allocs, 0u);
+    EXPECT_EQ(ref_sink, tab_sink);
+    EXPECT_EQ(tab_sink, gen_sink);
+    EXPECT_GT(tab_sink.alloc.n, 0u);
 }
 
 TEST(SchemaSkew, UnknownFieldBudgetExhaustionAgreesAcrossEngines)

@@ -280,42 +280,28 @@ TEST(FrameBuffer, IdempotencyKeyAndFlagsRoundTrip)
     EXPECT_NE(f->header.flags & FrameHeader::kFlagHasCrc, 0);
 }
 
-/// Counts OnCrc events (the integrity check's cost hook).
-class CrcCountingSink : public proto::CostSink
-{
-  public:
-    void
-    OnCrc(size_t bytes) override
-    {
-        ++crcs;
-        crc_bytes += bytes;
-    }
-    uint64_t crcs = 0;
-    uint64_t crc_bytes = 0;
-};
-
 TEST(FrameBuffer, CrcChargesTheCostSink)
 {
-    CrcCountingSink sink;
+    proto::CostSink sink;
     FrameBuffer buf;
     buf.SetCostSink(&sink);
     const uint8_t payload[] = {1, 2, 3, 4};
     FrameHeader h;
     h.payload_bytes = 4;
     buf.Append(h, payload);  // one CRC stamped
-    EXPECT_EQ(sink.crcs, 1u);
+    EXPECT_EQ(sink.crc.n, 1u);
     // Covers the CRC-protected header prefix plus the payload.
-    EXPECT_EQ(sink.crc_bytes, FrameHeader::kCrcOffset + 4);
+    EXPECT_EQ(sink.crc.bytes, FrameHeader::kCrcOffset + 4);
 
     size_t offset = 0;
     ASSERT_TRUE(buf.Next(&offset).has_value());  // one CRC verified
-    EXPECT_EQ(sink.crcs, 2u);
+    EXPECT_EQ(sink.crc.n, 2u);
 
     // Disabled => no stamp, no verify, no charge.
     buf.set_crc_enabled(false);
     buf.Append(h, payload);
     ASSERT_TRUE(buf.Next(&offset).has_value());
-    EXPECT_EQ(sink.crcs, 2u);
+    EXPECT_EQ(sink.crc.n, 2u);
 }
 
 TEST(SimulatedChannel, LatencyPlusBandwidth)
